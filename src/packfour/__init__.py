@@ -11,7 +11,6 @@ from .graph import (
     induced_subgraph,
     is_cubic,
     list_triangles,
-    set_distance_at_least,
     shortest_odd_cycle,
     triangle_membership_counts,
     vertices_within,
@@ -43,9 +42,9 @@ from . import errors, generators
 __all__ = [
     "Graph", "INF", "bfs_distances", "bipartition_or_odd_cycle", "build_graph",
     "components", "find_claw", "induced_subgraph", "is_cubic", "list_triangles",
-    "set_distance_at_least", "shortest_odd_cycle", "triangle_membership_counts",
-    "vertices_within", "parse_edge_list", "parse_graph6", "read_certificate",
-    "write_certificate", "write_graph6", "Coloring", "SSpec", "Violation",
+    "shortest_odd_cycle", "triangle_membership_counts", "vertices_within",
+    "parse_edge_list", "parse_graph6", "read_certificate", "write_certificate",
+    "write_graph6", "Coloring", "SSpec", "Violation",
     "is_k_packing", "parse_sspec", "verify_spacking", "AppliedMove", "Move",
     "PackingPair", "Weights", "break_triangles", "check_packing_pair",
     "enumerate_improving_moves", "surviving_triangles", "vertex_weight",

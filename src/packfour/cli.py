@@ -133,7 +133,7 @@ def cmd_color(args) -> int:
             if status == "ok":
                 print(payload, file=out)
                 if args.dot:
-                    _write_dot_file(args.dot, i, len(results), work[i], payload)
+                    _write_dot_file(args.dot, i, len(results), payload)
             else:
                 print(json.dumps({"index": i, "error": status, "detail": payload},
                                  sort_keys=True), file=out)
@@ -146,14 +146,8 @@ def cmd_color(args) -> int:
     return exit_code
 
 
-def _write_dot_file(base: str, index: int, total: int, item, cert_text: str) -> None:
-    g = parse_graph6(item) if isinstance(item, str) else item
-    cert = json.loads(cert_text)
-    coloring = [0] * g.n
-    names = {"1a": 1, "1b": 2, "2a": 3, "2b": 4}
-    for name, members in cert["classes"].items():
-        for v in members:
-            coloring[v] = names[name]
+def _write_dot_file(base: str, index: int, total: int, cert_text: str) -> None:
+    g, _, coloring = coloring_from_certificate(read_certificate(cert_text))
     path = base if total == 1 else f"{base}.{index}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(write_dot(g, coloring))

@@ -9,8 +9,8 @@ from __future__ import annotations
 import random
 import re
 
-from .errors import BadParameter, NotCubic, RetryLimit, UnknownName
-from .graph import Graph, build_graph, components, is_cubic, triangle_membership_counts
+from .errors import BadParameter, RetryLimit, UnknownName
+from .graph import Graph, build_graph, components, is_cubic, require_cubic, triangle_membership_counts
 
 
 def k4() -> Graph:
@@ -63,9 +63,7 @@ def inflate(g: Graph) -> Graph:
     id, attach to those corners in order.  The result is claw-free cubic on
     3n vertices.
     """
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            raise NotCubic(v, g.degree(v))
+    require_cubic(g)
     edges = []
     for v in range(g.n):
         base = 3 * v

@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DuplicateEdge, SelfLoop, VertexOutOfRange
+from .errors import DuplicateEdge, NotCubic, SelfLoop, VertexOutOfRange
 
 INF = math.inf
 
@@ -72,16 +72,7 @@ def build_graph(n: int, edges) -> Graph:
 
 def bfs_distances(g: Graph, src: int) -> list[float]:
     """Hop distances from src; INF where unreachable."""
-    dist: list[float] = [INF] * g.n
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in g.adj[u]:
-            if dist[v] is INF:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
+    return _bfs_parents(g, src)[0]
 
 
 def _bfs_parents(g: Graph, src: int) -> tuple[list[float], list[int]]:
@@ -119,34 +110,6 @@ def vertices_within(g: Graph, sources, radius: int) -> set[int]:
     return set(dist)
 
 
-def set_distance_at_least(g: Graph, v: int, s, k: int) -> bool:
-    """True iff min over u in s of dist(v, u) >= k.  True when s is empty.
-
-    Bounded BFS: only the ball of radius k-1 around v is explored, so checks
-    with small k stay cheap even on large graphs.
-    """
-    members = set(s)
-    if not members:
-        return True
-    if k <= 0:
-        return True
-    if v in members:
-        return False
-    dist = {v: 0}
-    q = deque([v])
-    while q:
-        u = q.popleft()
-        if dist[u] == k - 1:
-            continue
-        for w in g.adj[u]:
-            if w not in dist:
-                if w in members:
-                    return False
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return True
-
-
 def list_triangles(g: Graph) -> list[Triangle]:
     """All triangles (u, v, w) with u < v < w, in lexicographic order."""
     out: list[Triangle] = []
@@ -170,6 +133,13 @@ def triangle_membership_counts(g: Graph) -> list[int]:
 
 def is_cubic(g: Graph) -> bool:
     return all(len(a) == 3 for a in g.adj)
+
+
+def require_cubic(g: Graph) -> None:
+    """Raise NotCubic at the first vertex whose degree is not 3."""
+    for v in range(g.n):
+        if g.degree(v) != 3:
+            raise NotCubic(v, g.degree(v))
 
 
 def find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
@@ -240,13 +210,11 @@ def bipartition_or_odd_cycle(g: Graph):
     an odd cycle tuple on the first conflict found in BFS order.
     """
     color: list[int] = [-1] * g.n
-    dist: list[float] = [INF] * g.n
     parent = [-1] * g.n
     for root in range(g.n):
         if color[root] != -1:
             continue
         color[root] = 0
-        dist[root] = 0
         parent[root] = root
         q = deque([root])
         while q:
@@ -254,11 +222,10 @@ def bipartition_or_odd_cycle(g: Graph):
             for v in g.adj[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
-                    dist[v] = dist[u] + 1
                     parent[v] = u
                     q.append(v)
                 elif color[v] == color[u]:
-                    return _odd_cycle_from_conflict(u, v, dist, parent)
+                    return _odd_cycle_from_conflict(u, v, parent)
     return (
         sorted(v for v in range(g.n) if color[v] == 0),
         sorted(v for v in range(g.n) if color[v] == 1),
@@ -273,10 +240,10 @@ def _path_to_root(v: int, parent: list[int]) -> list[int]:
     return path
 
 
-def _odd_cycle_from_conflict(u, v, dist, parent) -> OddCycle:
+def _odd_cycle_from_conflict(u: int, v: int, parent: list[int]) -> OddCycle:
     # BFS-tree paths from the root share a prefix and diverge permanently, so
-    # splicing them at the last common vertex yields a simple cycle; equal
-    # color parity of u and v makes its length odd.
+    # splicing them at the last common vertex yields a simple cycle; u and v
+    # have equal depth parity (same color, or same BFS layer), so it is odd.
     pu = _path_to_root(u, parent)
     pv = _path_to_root(v, parent)
     i = 0
@@ -295,7 +262,7 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     order (start vertex ascending, edges lexicographic) fixes the witness.
     """
     best_len: float = INF
-    best = None  # (dist, parent, u, v)
+    best = None  # (parent, u, v)
     for s in range(g.n):
         dist, parent = _bfs_parents(g, s)
         for u, v in g.edges():
@@ -303,16 +270,10 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
                 cand = 2 * dist[u] + 1
                 if cand < best_len:
                     best_len = cand
-                    best = (dist, parent, u, v)
+                    best = (parent, u, v)
         if best_len == 3:
             break
     if best is None:
         return None
-    _, parent, u, v = best
-    pu = _path_to_root(u, parent)
-    pv = _path_to_root(v, parent)
-    i = 0
-    while i < min(len(pu), len(pv)) and pu[i] == pv[i]:
-        i += 1
-    cycle = pu[i - 1:] + pv[:i - 1:-1]
-    return _canonical_cycle(cycle)
+    parent, u, v = best
+    return _odd_cycle_from_conflict(u, v, parent)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StuckOddCycle
-from .graph import Graph, OddCycle, find_claw, induced_subgraph, set_distance_at_least, shortest_odd_cycle
+from .graph import Graph, OddCycle, find_claw, induced_subgraph, shortest_odd_cycle, vertices_within
 from .triangle_break import PackingPair
 
 
@@ -45,9 +45,10 @@ def addable_side(g: Graph, state: ReductionState, v: int) -> str | None:
     """Which side v may join: "A" if distance >= 3 from ext_a, else "B", else None."""
     if v not in state.remaining:
         raise ValueError(f"vertex {v} is not in the remainder")
-    if set_distance_at_least(g, v, state.ext_a, 3):
+    ball = vertices_within(g, [v], 2)
+    if ball.isdisjoint(state.ext_a):
         return "A"
-    if set_distance_at_least(g, v, state.ext_b, 3):
+    if ball.isdisjoint(state.ext_b):
         return "B"
     return None
 

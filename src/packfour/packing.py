@@ -80,8 +80,9 @@ def is_k_packing(g: Graph, s, k: int) -> bool:
 def verify_spacking(g: Graph, s: SSpec, c: Coloring) -> Violation | None:
     """None if c is a valid S-packing coloring of g, else the first violation.
 
-    Scans vertex pairs (u, v) with u < v in lexicographic order, so the
-    returned violation is the smallest violating pair.
+    For each u in ascending order, looks for a same-class v > u inside u's
+    radius-a_i ball, so the returned violation is the lexicographically
+    smallest violating pair (u, v).
     """
     if len(c) != g.n:
         raise ValueError(f"coloring covers {len(c)} vertices, graph has {g.n}")
@@ -89,9 +90,8 @@ def verify_spacking(g: Graph, s: SSpec, c: Coloring) -> Violation | None:
         if not 1 <= c[v] <= s.r:
             raise ClassOutOfRange(v, c[v], s.r)
     for u in range(g.n):
-        dist = bfs_distances(g, u)
-        limit = s.values[c[u] - 1]
-        for v in range(u + 1, g.n):
-            if c[v] == c[u] and dist[v] <= limit:
-                return Violation(u, v, c[u], dist[v])
+        near = vertices_within(g, [u], s.values[c[u] - 1])
+        v = min((w for w in near if w > u and c[w] == c[u]), default=None)
+        if v is not None:
+            return Violation(u, v, c[u], bfs_distances(g, u)[v])
     return None

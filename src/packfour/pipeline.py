@@ -3,20 +3,21 @@
 Stage one extracts two disjoint 2-packings that hit every triangle; stage two
 absorbs one vertex per remaining odd cycle until the remainder is bipartite.
 The two bipartition sides become the 1-packing classes 1a/1b, the grown
-2-packings become 2a/2b.  The result is re-verified before a certificate is
-written, so the pipeline can fail loudly but never emit a wrong answer.
+2-packings become 2a/2b.  The certificate writer verifies the result and
+refuses an invalid one, so the pipeline can fail loudly but never emit a
+wrong answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotClawFree, NotCubic, PackfourError
+from .errors import NotClawFree, PackfourError
 from .formats import SPEC_1122, write_certificate
-from .graph import Graph, OddCycle, bipartition_or_odd_cycle, find_claw, induced_subgraph
+from .graph import Graph, bipartition_or_odd_cycle, find_claw, induced_subgraph, is_cubic, require_cubic
 from .odd_cycle import reduce_odd_cycles
 from .oracle import DEFAULT_VERTEX_CAP, exists_spacking
-from .packing import Coloring, SSpec, verify_spacking
+from .packing import Coloring, SSpec
 from .triangle_break import break_triangles
 
 # class indices: 1a=1, 1b=2, 2a=3, 2b=4 (matching SPEC_1122 entry order)
@@ -30,9 +31,7 @@ def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]
     set (experimental runs on non-claw-free cubic graphs may raise
     StuckOddCycle, which is surfaced verbatim — never a bad certificate).
     """
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            raise NotCubic(v, g.degree(v))
+    require_cubic(g)
     if not force:
         claw = find_claw(g)
         if claw is not None:
@@ -54,9 +53,6 @@ def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]
         coloring[v] = CLASS_2A
     for v in state.ext_b:
         coloring[v] = CLASS_2B
-    violation = verify_spacking(g, SPEC_1122, coloring)
-    if violation is not None:
-        raise RuntimeError(f"pipeline produced an invalid coloring: {violation}")
     trace = {
         "lemma": [step.to_record() for step in lemma_trace],
         "reducer": [step.to_record() for step in reducer_trace],
@@ -80,8 +76,7 @@ def color_or_report(g: Graph, s: SSpec,
     Never raises for an answerable input: errors fold into the record, and
     "unknown" appears only when the oracle skipped the graph for size.
     """
-    if tuple(s.values) == tuple(SPEC_1122.values) and all(g.degree(v) == 3 for v in range(g.n)) \
-            and find_claw(g) is None:
+    if tuple(s.values) == tuple(SPEC_1122.values) and is_cubic(g) and find_claw(g) is None:
         try:
             coloring, _ = color_claw_free_cubic(g)
             return Outcome("pipeline", "yes", coloring)
@@ -90,11 +85,3 @@ def color_or_report(g: Graph, s: SSpec,
     res = exists_spacking(g, s, vertex_cap)
     return Outcome("oracle", res.status, res.coloring, res.reason)
 
-
-def remainder_odd_cycle_check(g: Graph, vertices) -> OddCycle | None:
-    """Convenience used by experiments: odd cycle in an induced remainder, if any."""
-    sub, mapping = induced_subgraph(g, vertices)
-    result = bipartition_or_odd_cycle(sub)
-    if isinstance(result, tuple) and len(result) == 2 and isinstance(result[0], list):
-        return None
-    return tuple(mapping[i] for i in result)

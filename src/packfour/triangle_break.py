@@ -10,8 +10,9 @@ and hill-climbs on total vertex weight — `heavy` for a vertex in two or more
 triangles, `light` for exactly one, 0 otherwise — until no triangle survives
 outside a u b.  Moves are bounded exchanges: at most one removal per side, at
 most two additions in total, removals within distance 2 of an added vertex.
-With default integer weights every applied move strictly increases the
-weight, so a run takes at most 2n steps.
+Every step is a local strict ascent: its additions lie within distance 3 of
+the first surviving triangle and it strictly increases the weight, so with
+default integer weights a run takes at most 2n steps.
 
 Complete-graph components on four vertices cannot satisfy (3) with two chosen
 vertices (any two of their vertices share a triangle), so each K4 component is
@@ -24,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import NotCubic, Stuck
+from .errors import Stuck
 from .graph import (
     Graph,
     Triangle,
     components,
-    is_cubic,
     list_triangles,
+    require_cubic,
     triangle_membership_counts,
     vertices_within,
 )
@@ -136,6 +137,10 @@ class _Search:
     def survivors(self, marked) -> list[Triangle]:
         return [t for t in self.triangles if not (set(t) & marked)]
 
+    def candidates_near(self, t: Triangle) -> list[int]:
+        """Triangle vertices within distance 3 of t: the additions a step may use."""
+        return sorted(v for v in vertices_within(self.g, t, 3) if self.counts[v] >= 1)
+
     def move_result(self, pair: PackingPair, move: Move) -> PackingPair | None:
         """The pair after the move, or None when the move is invalid.
 
@@ -193,11 +198,9 @@ class _Search:
 
     def improving_moves(self, pair: PackingPair,
                         add_candidates: list[int]) -> Iterator[tuple[Move, PackingPair]]:
-        """Valid improving moves in lexicographic order of Move.sort_key().
+        """Valid strictly weight-increasing moves in Move.sort_key() order.
 
-        Improving: strictly larger weight, or equal weight and strictly fewer
-        surviving triangles.  Laziness matters — callers usually stop at the
-        first strictly improving move.
+        Laziness matters — the breaker stops at the first.
         """
         items = [(v, side) for v in add_candidates for side in (SIDE_A, SIDE_B)]
         items.sort()
@@ -220,8 +223,7 @@ class _Search:
                 result = self.move_result(pair, move)
                 if result is None:
                     continue
-                if result.weight > pair.weight or (result.weight == pair.weight
-                                                  and result.surviving < pair.surviving):
+                if result.weight > pair.weight:
                     yield move, result
 
 
@@ -267,15 +269,16 @@ def enumerate_improving_moves(g: Graph, weights: Weights, pair: PackingPair,
                               t: Triangle) -> Iterator[Move]:
     """Improving moves whose additions stay within distance 3 of triangle t.
 
-    t must be a surviving triangle of the pair.  Moves come out in a fixed
-    lexicographic order (additions compared before removals, side a before
-    side b), so the first yield is the canonical next step.
+    Improving means strictly weight-increasing.  t must be a surviving
+    triangle of the pair.  Moves come out in a fixed lexicographic order
+    (additions compared before removals, side a before side b); for the first
+    surviving triangle, the first yield is exactly the step break_triangles
+    takes.
     """
     if set(t) & pair.marked:
         raise ValueError(f"triangle {t} is not surviving for this pair")
     search = _Search(g, weights)
-    cands = sorted(v for v in vertices_within(g, t, 3) if search.counts[v] >= 1)
-    for move, _ in search.improving_moves(pair, cands):
+    for move, _ in search.improving_moves(pair, search.candidates_near(t)):
         yield move
 
 
@@ -294,14 +297,10 @@ def break_triangles(g: Graph, weights: Weights | None = None
 
     The input must be cubic.  K4 components get their fixed placement first;
     then the loop picks the first surviving triangle and applies the first
-    strictly weight-increasing move near it (falling back to a whole-graph
-    move search, and only then to an equal-weight move that lowers the
-    surviving count — a branch the hill-climb argument rules out for cubic
-    inputs).  Raises Stuck when no move exists at all.
+    strictly weight-increasing move whose additions lie within distance 3 of
+    it.  Raises Stuck when that triangle has no such move.
     """
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            raise NotCubic(v, g.degree(v))
+    require_cubic(g)
     weights = weights if weights is not None else Weights()
     search = _Search(g, weights)
     a: set[int] = set()
@@ -318,13 +317,7 @@ def break_triangles(g: Graph, weights: Weights | None = None
         trace.append(AppliedMove(move, before, pair.weight, pair.surviving))
     while pair.surviving > 0:
         t = search.survivors(pair.marked)[0]
-        local = sorted(v for v in vertices_within(g, t, 3) if search.counts[v] >= 1)
-        chosen = _first_strict(search, pair, local)
-        if chosen is None:
-            # completeness must not hinge on the distance-3 heuristic: retry
-            # with every triangle vertex of the graph as an addition candidate
-            everywhere = [v for v in range(g.n) if search.counts[v] >= 1]
-            chosen = _first_strict(search, pair, everywhere, allow_tie=True)
+        chosen = next(search.improving_moves(pair, search.candidates_near(t)), None)
         if chosen is None:
             raise Stuck(pair, t)
         move, result = chosen
@@ -332,13 +325,3 @@ def break_triangles(g: Graph, weights: Weights | None = None
         pair = result
     return pair, trace
 
-
-def _first_strict(search: _Search, pair: PackingPair, candidates: list[int],
-                  allow_tie: bool = False) -> tuple[Move, PackingPair] | None:
-    first_tie = None
-    for move, result in search.improving_moves(pair, candidates):
-        if result.weight > pair.weight:
-            return move, result
-        if first_tie is None:
-            first_tie = (move, result)
-    return first_tie if allow_tie else None

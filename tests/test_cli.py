@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 from packfour.cli import main
 from packfour.formats import parse_graph6, write_graph6
@@ -92,10 +93,16 @@ def test_color_jobs_matches_serial(tmp_path, capsys):
 def test_color_dot_output(tmp_path, capsys):
     inp = write(tmp_path, "in.g6", f"{write_graph6(k4())}\n{write_graph6(prism())}\n")
     dot = str(tmp_path / "view.dot")
-    code, _, _ = run(capsys, "color", inp, "--dot", dot)
+    code, out, _ = run(capsys, "color", inp, "--dot", dot)
     assert code == 0
-    assert (tmp_path / "view.dot.0").read_text().startswith("graph G {")
-    assert "--" in (tmp_path / "view.dot.1").read_text()
+    for i, cert_text in enumerate(out.strip().splitlines()):
+        text = (tmp_path / f"view.dot.{i}").read_text()
+        assert text.startswith("graph G {") and "--" in text
+        cert = json.loads(cert_text)
+        expected = {f"{v}:{name}" for name, members in cert["classes"].items()
+                    for v in members}
+        labels = set(re.findall(r'label="([^"]*)"', text))
+        assert labels == expected and len(labels) == cert["n"]
 
     single = write(tmp_path, "one.g6", write_graph6(k4()) + "\n")
     run(capsys, "color", single, "--dot", dot)

@@ -17,7 +17,6 @@ from packfour.graph import (
     induced_subgraph,
     is_cubic,
     list_triangles,
-    set_distance_at_least,
     shortest_odd_cycle,
     triangle_membership_counts,
     vertices_within,
@@ -86,16 +85,6 @@ def test_vertices_within():
     assert vertices_within(g, [0], 2) == set(range(6))
     assert vertices_within(g, [], 2) == set()
     assert vertices_within(g, [0, 4], 1) == {0, 1, 2, 3, 4, 5}
-
-
-def test_set_distance_at_least():
-    g = k33()
-    # parts {0,1,2} / {3,4,5}: cross distance 1, within-part distance 2
-    assert set_distance_at_least(g, 0, {1}, 2)
-    assert not set_distance_at_least(g, 0, {1}, 3)
-    assert not set_distance_at_least(g, 0, {3}, 2)
-    assert set_distance_at_least(g, 0, set(), 5)
-    assert set_distance_at_least(g, 0, {3}, 0)
 
 
 def test_list_triangles_frozen():

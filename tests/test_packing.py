@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from packfour.errors import ClassOutOfRange, EmptySpec, NotNonDecreasing, NotPositive
-from packfour.generators import cycle, k4, k33, petersen, prism
+from packfour.generators import cycle, inflate, k4, k33, petersen, prism
 from packfour.packing import SSpec, Violation, is_k_packing, parse_sspec, verify_spacking
+from packfour.pipeline import color_claw_free_cubic
 
 import oracles
 from oracles import graphs
@@ -79,19 +80,37 @@ def test_verify_input_errors():
         verify_spacking(k4(), SSpec((1, 2)), [0, 1, 2, 1])
 
 
-@given(graphs(max_n=8), st.data())
+@st.composite
+def random_colorings(draw):
+    g = draw(graphs(max_n=8))
+    s = draw(st.sampled_from([(1,), (1, 1), (1, 2), (1, 1, 2, 2), (2, 3)]))
+    coloring = draw(st.lists(st.integers(1, len(s)), min_size=g.n, max_size=g.n))
+    return g, s, coloring
+
+
+@st.composite
+def one_flip_colorings(draw):
+    # a valid coloring with one vertex moved to another class: every violation
+    # sits inside the flipped vertex's ball, where a ball scan could go wrong
+    g = inflate(draw(oracles.cubic_graphs(max_n=10)))
+    coloring, _ = color_claw_free_cubic(g)
+    v = draw(st.integers(0, g.n - 1))
+    coloring[v] = draw(st.sampled_from([c for c in (1, 2, 3, 4) if c != coloring[v]]))
+    return g, (1, 1, 2, 2), coloring
+
+
+@given(st.one_of(random_colorings(), one_flip_colorings()))
 @settings(max_examples=80)
-def test_verify_agrees_with_distance_oracle(g, data):
-    s = data.draw(st.sampled_from([(1,), (1, 1), (1, 2), (1, 1, 2, 2), (2, 3)]))
-    if g.n:
-        coloring = data.draw(st.lists(st.integers(1, len(s)), min_size=g.n, max_size=g.n))
-    else:
-        coloring = []
+def test_verify_agrees_with_distance_oracle(case):
+    g, s, coloring = case
     got = verify_spacking(g, SSpec(s), coloring)
     assert (got is None) == oracles.spacking_ok(g, s, coloring)
     if got is not None:
-        d = oracles.floyd_warshall(g)[got.u][got.v]
-        assert d == got.dist and d <= s[got.class_index - 1]
+        dist = oracles.floyd_warshall(g)
+        violating = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if coloring[u] == coloring[v] and dist[u][v] <= s[coloring[u] - 1]]
+        assert (got.u, got.v) == min(violating)
+        assert got.dist == dist[got.u][got.v]
         assert coloring[got.u] == coloring[got.v] == got.class_index
 
 

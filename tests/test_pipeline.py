@@ -19,7 +19,7 @@ from packfour.generators import (
 from packfour.graph import build_graph
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
-from packfour.pipeline import color_claw_free_cubic, color_or_report, remainder_odd_cycle_check
+from packfour.pipeline import color_claw_free_cubic, color_or_report
 
 import oracles
 
@@ -125,16 +125,6 @@ def test_color_or_report_routes():
     out = color_or_report(inflate(petersen()), SSpec((1, 1, 2, 3)))
     assert (out.method, out.colorable) == ("oracle", "unknown")
     assert "cap" in out.reason
-
-
-def test_remainder_odd_cycle_check():
-    g = petersen()
-    assert remainder_odd_cycle_check(g, range(10)) == (0, 1, 2, 3, 4)
-    # outer C5 removed: the inner 5-cycle remains, in original labels
-    cyc = remainder_odd_cycle_check(g, [5, 6, 7, 8, 9])
-    assert cyc is not None and len(cyc) == 5
-    assert set(cyc) <= {5, 6, 7, 8, 9}
-    assert remainder_odd_cycle_check(cycle(6), range(6)) is None
 
 
 def test_pipeline_handles_disconnected_k4s():
