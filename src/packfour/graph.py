@@ -263,9 +263,10 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     """
     best_len: float = INF
     best = None  # (parent, u, v)
+    edges = list(g.edges())
     for s in range(g.n):
         dist, parent = _bfs_parents(g, s)
-        for u, v in g.edges():
+        for u, v in edges:
             if dist[u] is not INF and dist[u] == dist[v]:
                 cand = 2 * dist[u] + 1
                 if cand < best_len:

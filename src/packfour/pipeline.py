@@ -10,14 +10,11 @@ wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotClawFree, PackfourError
-from .formats import SPEC_1122, write_certificate
-from .graph import Graph, bipartition_or_odd_cycle, find_claw, induced_subgraph, is_cubic, require_cubic
+from .errors import NotClawFree
+from .formats import write_certificate
+from .graph import Graph, bipartition_or_odd_cycle, find_claw, induced_subgraph, require_cubic
 from .odd_cycle import reduce_odd_cycles
-from .oracle import DEFAULT_VERTEX_CAP, exists_spacking
-from .packing import Coloring, SSpec
+from .packing import Coloring
 from .triangle_break import break_triangles
 
 # class indices: 1a=1, 1b=2, 2a=3, 2b=4 (matching SPEC_1122 entry order)
@@ -40,10 +37,9 @@ def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]
     state, reducer_trace = reduce_odd_cycles(g, pair)
     sub, mapping = induced_subgraph(g, state.remaining)
     result = bipartition_or_odd_cycle(sub)
-    if isinstance(result, tuple) and len(result) == 2 and isinstance(result[0], list):
-        side0, side1 = result
-    else:
+    if len(result) != 2:  # an odd cycle has at least 3 vertices
         raise RuntimeError(f"remainder not bipartite after reduction: {result}")
+    side0, side1 = result
     coloring: list[int] = [0] * g.n
     for i in side0:
         coloring[mapping[i]] = CLASS_1A
@@ -59,29 +55,3 @@ def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]
     }
     certificate = write_certificate(g, coloring, trace)
     return coloring, certificate
-
-
-@dataclass(frozen=True)
-class Outcome:
-    method: str  # "pipeline" | "oracle"
-    colorable: str  # "yes" | "no" | "unknown"
-    coloring: Coloring | None = None
-    reason: str | None = None
-
-
-def color_or_report(g: Graph, s: SSpec,
-                    vertex_cap: int = DEFAULT_VERTEX_CAP) -> Outcome:
-    """Constructive route when it applies, exact oracle otherwise.
-
-    Never raises for an answerable input: errors fold into the record, and
-    "unknown" appears only when the oracle skipped the graph for size.
-    """
-    if tuple(s.values) == tuple(SPEC_1122.values) and is_cubic(g) and find_claw(g) is None:
-        try:
-            coloring, _ = color_claw_free_cubic(g)
-            return Outcome("pipeline", "yes", coloring)
-        except PackfourError as e:  # unreachable for valid inputs; stay honest
-            return Outcome("pipeline", "unknown", reason=str(e))
-    res = exists_spacking(g, s, vertex_cap)
-    return Outcome("oracle", res.status, res.coloring, res.reason)
-

@@ -14,6 +14,11 @@ Every step is a local strict ascent: its additions lie within distance 3 of
 the first surviving triangle and it strictly increases the weight, so with
 default integer weights a run takes at most 2n steps.
 
+Moves around a triangle are generated lazily in canonical order (Move.sort_key:
+additions, then removals) and each candidate is checked once, cheapest test
+first: weight gain, then membership, then the 2-packing test against radius-2
+balls computed once per graph, then condition (3).  A step takes the first.
+
 Complete-graph components on four vertices cannot satisfy (3) with two chosen
 vertices (any two of their vertices share a triangle), so each K4 component is
 handled up front by placing its two smallest vertices one into a and one into
@@ -23,6 +28,7 @@ b; the component's remainder is a single edge, which is triangle-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .errors import Stuck
@@ -114,12 +120,24 @@ def vertex_weight(g: Graph, weights: Weights, counts: list[int], v: int) -> floa
     return 0
 
 
+def _choices(items: list, compatible) -> Iterator[tuple]:
+    """Each item alone, then each compatible pair (x, y) with y after x.
+
+    On a sorted list this is lexicographic order: (x,) precedes (x, *).
+    """
+    for i, x in enumerate(items):
+        yield (x,)
+        for y in items[i + 1:]:
+            if compatible(x, y):
+                yield (x, y)
+
+
 class _Search:
-    """Precomputed triangle structure shared by every operation on one graph."""
+    """Precomputed triangle structure and radius-2 balls shared by every
+    operation on one graph."""
 
     def __init__(self, g: Graph, weights: Weights):
         self.g = g
-        self.weights = weights
         self.triangles: list[Triangle] = list_triangles(g)
         self.counts = triangle_membership_counts(g)
         self.wvec = [vertex_weight(g, weights, self.counts, v) for v in range(g.n)]
@@ -127,6 +145,7 @@ class _Search:
         for i, t in enumerate(self.triangles):
             for v in t:
                 self.tri_by_vertex[v].append(i)
+        self.ball2 = [vertices_within(g, [v], 2) for v in range(g.n)]
 
     def pair_from_sets(self, a, b) -> PackingPair:
         marked = set(a) | set(b)
@@ -134,97 +153,48 @@ class _Search:
         surviving = sum(1 for t in self.triangles if not (set(t) & marked))
         return PackingPair(frozenset(a), frozenset(b), weight, surviving)
 
-    def survivors(self, marked) -> list[Triangle]:
-        return [t for t in self.triangles if not (set(t) & marked)]
+    def apply(self, pair: PackingPair, move: Move) -> PackingPair:
+        return self.pair_from_sets((pair.a - {move.remove_a}) | set(move.add_a),
+                                   (pair.b - {move.remove_b}) | set(move.add_b))
 
-    def candidates_near(self, t: Triangle) -> list[int]:
-        """Triangle vertices within distance 3 of t: the additions a step may use."""
-        return sorted(v for v in vertices_within(self.g, t, 3) if self.counts[v] >= 1)
+    def improving_moves(self, pair: PackingPair, t: Triangle) -> Iterator[Move]:
+        """Valid strictly weight-increasing moves whose additions lie within
+        distance 3 of t, generated in Move.sort_key() order.
 
-    def move_result(self, pair: PackingPair, move: Move) -> PackingPair | None:
-        """The pair after the move, or None when the move is invalid.
-
-        Valid means: removals come from their own side, additions are new
-        vertices in triangles, both sides stay disjoint 2-packings, and no
-        triangle ends up with two chosen vertices.
+        Additions are (vertex, side) items: one, or two on distinct vertices.
+        Removals are (vertex, side) items too, at most one per side, taken
+        from that side within distance 2 of an addition, none first.
         """
-        g = self.g
-        if move.remove_a is not None and move.remove_a not in pair.a:
-            return None
-        if move.remove_b is not None and move.remove_b not in pair.b:
-            return None
-        adds = list(move.add_a) + list(move.add_b)
-        if not adds or len(adds) > 2 or len(set(adds)) != len(adds):
-            return None
-        new_a = set(pair.a)
-        new_b = set(pair.b)
-        if move.remove_a is not None:
-            new_a.discard(move.remove_a)
-        if move.remove_b is not None:
-            new_b.discard(move.remove_b)
-        for v in adds:
-            # re-adding a just-removed vertex to its own side is a no-op shape
-            if v in new_a or v in new_b:
-                return None
-            if v == move.remove_a and v in move.add_a:
-                return None
-            if v == move.remove_b and v in move.add_b:
-                return None
-            if self.counts[v] == 0:
-                return None  # condition (2)
-        new_a.update(move.add_a)
-        new_b.update(move.add_b)
-        if new_a & new_b:
-            return None  # condition (1), disjointness
-        for v in move.add_a:
-            if vertices_within(g, [v], 2) & (new_a - {v}):
-                return None  # condition (1), 2-packing in a
-        for v in move.add_b:
-            if vertices_within(g, [v], 2) & (new_b - {v}):
-                return None  # condition (1), 2-packing in b
-        new_marked = new_a | new_b
-        for v in adds:
-            for ti in self.tri_by_vertex[v]:
-                if len(set(self.triangles[ti]) & new_marked) >= 2:
-                    return None  # condition (3)
-        weight = pair.weight
-        for r in (move.remove_a, move.remove_b):
-            if r is not None:
-                weight -= self.wvec[r]
-        for v in adds:
-            weight += self.wvec[v]
-        surviving = sum(1 for t in self.triangles if not (set(t) & new_marked))
-        return PackingPair(frozenset(new_a), frozenset(new_b), weight, surviving)
+        w = self.wvec
+        sides = (pair.a, pair.b)
+        marked = pair.marked
+        adds = [(v, side) for v in sorted(vertices_within(self.g, t, 3)) if self.counts[v]
+                for side in (SIDE_A, SIDE_B)]
+        for combo in _choices(adds, lambda x, y: x[0] != y[0]):
+            gain = sum(w[v] for v, _ in combo)
+            near = set().union(*(self.ball2[v] for v, _ in combo))
+            rems = sorted((r, side) for side in (SIDE_A, SIDE_B) for r in sides[side] & near)
+            for removal in chain([()], _choices(rems, lambda x, y: x[1] != y[1])):
+                if (gain > sum(w[r] for r, _ in removal)
+                        and self._admits(sides, marked, combo, removal)):
+                    rem = {side: r for r, side in removal}
+                    yield Move(tuple(v for v, s in combo if s == SIDE_A),
+                               tuple(v for v, s in combo if s == SIDE_B),
+                               rem.get(SIDE_A), rem.get(SIDE_B))
 
-    def improving_moves(self, pair: PackingPair,
-                        add_candidates: list[int]) -> Iterator[tuple[Move, PackingPair]]:
-        """Valid strictly weight-increasing moves in Move.sort_key() order.
-
-        Laziness matters — the breaker stops at the first.
-        """
-        items = [(v, side) for v in add_candidates for side in (SIDE_A, SIDE_B)]
-        items.sort()
-        combos: list[tuple[tuple[int, int], ...]] = []
-        for i, first in enumerate(items):
-            combos.append((first,))
-            for second in items[i + 1:]:
-                if second[0] != first[0]:
-                    combos.append((first, second))
-        # combos is already in lex order: (x,) immediately precedes (x, *)
-        for combo in combos:
-            add_a = tuple(sorted(v for v, s in combo if s == SIDE_A))
-            add_b = tuple(sorted(v for v, s in combo if s == SIDE_B))
-            near = vertices_within(self.g, [v for v, _ in combo], 2)
-            ra_opts = [None] + sorted(pair.a & near)
-            rb_opts = [None] + sorted(pair.b & near)
-            moves = [Move(add_a, add_b, ra, rb) for ra in ra_opts for rb in rb_opts]
-            moves.sort(key=Move.sort_key)
-            for move in moves:
-                result = self.move_result(pair, move)
-                if result is None:
-                    continue
-                if result.weight > pair.weight:
-                    yield move, result
+    def _admits(self, sides, marked, combo, removal) -> bool:
+        """Whether the exchange keeps the pair valid.  Condition (2) needs no
+        check: every addition is a triangle vertex."""
+        if any(v in marked and (v, 1 - side) not in removal for v, side in combo):
+            return False  # an addition is new, or switches sides
+        removed = {r for r, _ in removal}
+        if any(u != v and ((u in sides[side] and u not in removed) or (u, side) in combo)
+               for v, side in combo for u in self.ball2[v]):
+            return False  # condition (1): each side stays a 2-packing
+        added = {v for v, _ in combo}
+        return not any(sum(1 for u in self.triangles[ti]
+                           if u in added or (u in marked and u not in removed)) >= 2
+                       for v in added for ti in self.tri_by_vertex[v])  # condition (3)
 
 
 def recompute_pair(g: Graph, weights: Weights, a, b) -> PackingPair:
@@ -270,16 +240,14 @@ def enumerate_improving_moves(g: Graph, weights: Weights, pair: PackingPair,
     """Improving moves whose additions stay within distance 3 of triangle t.
 
     Improving means strictly weight-increasing.  t must be a surviving
-    triangle of the pair.  Moves come out in a fixed lexicographic order
-    (additions compared before removals, side a before side b); for the first
-    surviving triangle, the first yield is exactly the step break_triangles
-    takes.
+    triangle of the pair.  Moves are generated in canonical order,
+    Move.sort_key() (additions compared before removals, side a before side b),
+    and each candidate is checked once; for the first surviving triangle, the
+    first yield is exactly the step break_triangles takes.
     """
     if set(t) & pair.marked:
         raise ValueError(f"triangle {t} is not surviving for this pair")
-    search = _Search(g, weights)
-    for move, _ in search.improving_moves(pair, search.candidates_near(t)):
-        yield move
+    yield from _Search(g, weights).improving_moves(pair, t)
 
 
 def _k4_components(g: Graph) -> list[list[int]]:
@@ -303,25 +271,22 @@ def break_triangles(g: Graph, weights: Weights | None = None
     require_cubic(g)
     weights = weights if weights is not None else Weights()
     search = _Search(g, weights)
-    a: set[int] = set()
-    b: set[int] = set()
+    pair = search.pair_from_sets((), ())
     trace: list[AppliedMove] = []
-    pair = search.pair_from_sets(a, b)
-    for comp in _k4_components(g):
-        p, q = comp[0], comp[1]
-        move = Move(add_a=(p,), add_b=(q,))
-        before = pair.weight
-        a.add(p)
-        b.add(q)
-        pair = search.pair_from_sets(a, b)
-        trace.append(AppliedMove(move, before, pair.weight, pair.surviving))
-    while pair.surviving > 0:
-        t = search.survivors(pair.marked)[0]
-        chosen = next(search.improving_moves(pair, search.candidates_near(t)), None)
-        if chosen is None:
-            raise Stuck(pair, t)
-        move, result = chosen
-        trace.append(AppliedMove(move, pair.weight, result.weight, result.surviving))
-        pair = result
-    return pair, trace
 
+    def step(move: Move) -> None:
+        nonlocal pair
+        after = search.apply(pair, move)
+        trace.append(AppliedMove(move, pair.weight, after.weight, after.surviving))
+        pair = after
+
+    for comp in _k4_components(g):
+        step(Move(add_a=(comp[0],), add_b=(comp[1],)))
+    while pair.surviving > 0:
+        marked = pair.marked
+        t = next(t for t in search.triangles if not (set(t) & marked))
+        move = next(search.improving_moves(pair, t), None)
+        if move is None:
+            raise Stuck(pair, t)
+        step(move)
+    return pair, trace

@@ -19,7 +19,7 @@ from packfour.generators import (
 from packfour.graph import build_graph
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
-from packfour.pipeline import color_claw_free_cubic, color_or_report
+from packfour.pipeline import color_claw_free_cubic
 
 import oracles
 
@@ -106,25 +106,6 @@ def test_pipeline_agrees_with_oracle_small():
         coloring, _ = color_claw_free_cubic(g)
         assert verify_spacking(g, S1122, coloring) is None
         assert exists_spacking(g, S1122).status == "yes"
-
-
-def test_color_or_report_routes():
-    out = color_or_report(prism(), S1122)
-    assert (out.method, out.colorable) == ("pipeline", "yes")
-    assert verify_spacking(prism(), S1122, out.coloring) is None
-
-    out = color_or_report(petersen(), S1122)  # clawed: oracle route
-    assert (out.method, out.colorable) == ("oracle", "no")
-
-    out = color_or_report(cycle(5), SSpec((1, 2)))
-    assert (out.method, out.colorable) == ("oracle", "no")
-
-    out = color_or_report(cycle(5), SSpec((1, 1, 2)))
-    assert (out.method, out.colorable) == ("oracle", "yes")
-
-    out = color_or_report(inflate(petersen()), SSpec((1, 1, 2, 3)))
-    assert (out.method, out.colorable) == ("oracle", "unknown")
-    assert "cap" in out.reason
 
 
 def test_pipeline_handles_disconnected_k4s():

@@ -143,18 +143,64 @@ def test_enumerate_first_moves_frozen():
     assert first == Move(add_a=(3,), add_b=(0,), remove_a=0)
 
 
+def mid_run(g):
+    """The sides a, b halfway through break_triangles(g), and their first
+    surviving triangle."""
+    _, trace = break_triangles(g)
+    a: set[int] = set()
+    b: set[int] = set()
+    for am in trace[:len(trace) // 2]:
+        m = am.move
+        a = (a - {m.remove_a}) | set(m.add_a)
+        b = (b - {m.remove_b}) | set(m.add_b)
+    return a, b, surviving_triangles(g, recompute_pair(g, W, a, b))[0]
+
+
+def reference_moves(g, pair, t):
+    """Every move shape around t, brute force, kept when valid and strictly
+    improving, in Move.sort_key order."""
+    d = oracles.floyd_warshall(g)
+    counts = triangle_membership_counts(g)
+    near_t = [v for v in range(g.n) if counts[v] >= 1 and min(d[v][x] for x in t) <= 3]
+    a, b = set(pair.a), set(pair.b)
+    out = []
+    for k in (1, 2):
+        for adds in itertools.combinations(near_t, k):
+            for sides in itertools.product("ab", repeat=k):
+                add_a = tuple(v for v, s in zip(adds, sides) if s == "a")
+                add_b = tuple(v for v, s in zip(adds, sides) if s == "b")
+                close = [r for r in a | b if min(d[r][v] for v in adds) <= 2]
+                for ra in [None] + [r for r in close if r in a]:
+                    for rb in [None] + [r for r in close if r in b]:
+                        na, nb = a - {ra}, b - {rb}
+                        # additions are new vertices; a vertex may switch sides
+                        if set(adds) & (na | nb) or ra in add_a or rb in add_b:
+                            continue
+                        na |= set(add_a)
+                        nb |= set(add_b)
+                        if (essential_violations(g, na, nb) == []
+                                and recompute_pair(g, W, na, nb).weight > pair.weight):
+                            out.append(Move(add_a, add_b, ra, rb))
+    return sorted(out, key=Move.sort_key)
+
+
 @pytest.mark.parametrize("setup", [
     (prism, set(), set(), (0, 1, 2)),
     (prism, {0}, set(), (3, 4, 5)),
     (lambda: diamond_necklace(2), {0}, set(), (4, 6, 7)),
     (lambda: inflate(k4()), {0}, set(), (3, 4, 5)),
+    (lambda: inflate(random_cubic(10, seed=2)), None, None, None),  # mid-run pair
 ])
 def test_enumerate_stream_sound(setup):
     make, a, b, t = setup
     g = make()
+    if t is None:
+        a, b, t = mid_run(g)
     pair = recompute_pair(g, W, a, b)
     moves = list(enumerate_improving_moves(g, W, pair, t))
     assert moves
+    # complete: exactly the valid strictly improving moves, in canonical order
+    assert moves == reference_moves(g, pair, t)
     keys = [m.sort_key() for m in moves]
     assert keys == sorted(keys)
     assert len(set(moves)) == len(moves)
