@@ -256,25 +256,40 @@ def _odd_cycle_from_conflict(u: int, v: int, parent: list[int]) -> OddCycle:
 def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     """A minimum-length odd cycle, or None if the graph is bipartite.
 
-    BFS from every vertex; an edge joining two vertices in the same BFS layer
-    closes an odd walk of length 2*layer + 1, and the minimum over all such
-    walks is attained by a simple chordless cycle.  The first minimum in scan
-    order (start vertex ascending, edges lexicographic) fixes the witness.
+    An edge joining two vertices in the same BFS layer of a source closes an
+    odd walk of length 2*layer + 1, and the minimum over all sources and such
+    edges is attained by a simple chordless cycle.  The witness is the first
+    minimum in scan order: smallest source, then the lexicographically first
+    edge in one of its layers.
+
+    All sources are swept at once, one layer per round, on Python-int bitsets:
+    layer[v] holds the sources at distance exactly d from v.  The first round
+    in which some edge has layer[u] & layer[v] nonzero fixes the minimum; the
+    lowest bit of the union is the witness source, whose BFS tree is then
+    spliced at the first such edge.  A round in which no layer grows means
+    every BFS has ended without a conflict, so the graph is bipartite.
     """
-    best_len: float = INF
-    best = None  # (parent, u, v)
     edges = list(g.edges())
-    for s in range(g.n):
-        dist, parent = _bfs_parents(g, s)
+    layer = [1 << v for v in range(g.n)]
+    seen = layer[:]
+    while True:
+        hit = 0
         for u, v in edges:
-            if dist[u] is not INF and dist[u] == dist[v]:
-                cand = 2 * dist[u] + 1
-                if cand < best_len:
-                    best_len = cand
-                    best = (parent, u, v)
-        if best_len == 3:
+            hit |= layer[u] & layer[v]
+        if hit:
             break
-    if best is None:
-        return None
-    parent, u, v = best
-    return _odd_cycle_from_conflict(u, v, parent)
+        nxt = []
+        for x, nbrs in enumerate(g.adj):
+            reach = 0
+            for y in nbrs:
+                reach |= layer[y]
+            reach &= ~seen[x]
+            seen[x] |= reach
+            nxt.append(reach)
+        if not any(nxt):
+            return None
+        layer = nxt
+    low = hit & -hit
+    s = low.bit_length() - 1
+    u, v = next((u, v) for u, v in edges if layer[u] & layer[v] & low)
+    return _odd_cycle_from_conflict(u, v, _bfs_parents(g, s)[1])

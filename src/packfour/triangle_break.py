@@ -171,6 +171,8 @@ class _Search:
         adds = [(v, side) for v in sorted(vertices_within(self.g, t, 3)) if self.counts[v]
                 for side in (SIDE_A, SIDE_B)]
         for combo in _choices(adds, lambda x, y: x[0] != y[0]):
+            if any(v in sides[side] for v, side in combo):
+                continue  # already on its own side: _admits rejects every removal
             gain = sum(w[v] for v, _ in combo)
             near = set().union(*(self.ball2[v] for v, _ in combo))
             rems = sorted((r, side) for side in (SIDE_A, SIDE_B) for r in sides[side] & near)

@@ -92,6 +92,49 @@ def shortest_odd_cycle_length(g: Graph) -> int | None:
     return best
 
 
+def reference_shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
+    """The witness shortest_odd_cycle must return, by a per-source scan.
+
+    BFS from each source in ascending order (neighbors ascending); for each
+    source, test every edge in lexicographic order; an edge whose ends share a
+    BFS layer d closes an odd walk of length 2d + 1, and only a strictly
+    shorter one replaces the best so far.  The winning edge's two tree paths
+    are spliced at their last common vertex and the cycle canonicalized.
+    """
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    best = None  # (length, parent, u, v)
+    for s in range(g.n):
+        dist = [None] * g.n
+        parent = [None] * g.n
+        dist[s] = 0
+        queue = [s]
+        for x in queue:
+            for y in g.adj[x]:
+                if dist[y] is None:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+        for u, v in edges:
+            if dist[u] is not None and dist[u] == dist[v]:
+                if best is None or 2 * dist[u] + 1 < best[0]:
+                    best = (2 * dist[u] + 1, parent, u, v)
+    if best is None:
+        return None
+    _, parent, u, v = best
+
+    def root_path(x):
+        path = [x]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    pu, pv = root_path(u), root_path(v)
+    i = 0
+    while i < min(len(pu), len(pv)) and pu[i] == pv[i]:
+        i += 1
+    return canon_cycle(pu[i - 1:] + pv[:i - 1:-1])
+
+
 def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:
     k = len(cycle)
     for i in range(k):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from packfour.errors import DuplicateEdge, SelfLoop, VertexOutOfRange
-from packfour.generators import cycle, k4, k33, petersen, prism
+from packfour.generators import cycle, k4, k33, petersen, prism, problem1_family, random_cubic
 from packfour.graph import (
     INF,
     bfs_distances,
@@ -21,6 +22,8 @@ from packfour.graph import (
     triangle_membership_counts,
     vertices_within,
 )
+from packfour.odd_cycle import reduce_odd_cycles
+from packfour.triangle_break import break_triangles
 
 import oracles
 from oracles import graphs
@@ -216,3 +219,34 @@ def test_shortest_odd_cycle_minimal_and_chordless(g):
     # canonical form: smallest vertex first, smaller successor
     assert cyc[0] == min(cyc)
     assert cyc[1] < cyc[-1]
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=80)
+def test_shortest_odd_cycle_witness_matches_scan(g):
+    assert shortest_odd_cycle(g) == oracles.reference_shortest_odd_cycle(g)
+
+
+@pytest.mark.parametrize("keep_ratio", [0.5, 0.8, 1.0])
+def test_shortest_odd_cycle_witness_on_cubic_subgraphs(keep_ratio):
+    # induced subgraphs of cubic graphs mix degrees 0-3 and long odd cycles
+    for n in (10, 20, 40, 80):
+        for seed in range(5):
+            g = random_cubic(n, seed=seed)
+            keep = random.Random(seed).sample(range(n), round(keep_ratio * n))
+            sub, _ = induced_subgraph(g, keep)
+            assert shortest_odd_cycle(sub) == oracles.reference_shortest_odd_cycle(sub)
+
+
+@pytest.mark.parametrize("n, seed", [(30, 1), (60, 0)])
+def test_shortest_odd_cycle_witness_on_reducer_remainders(n, seed):
+    # every remainder the reducer visits: the first, then one per absorption
+    g = problem1_family(n, seed)
+    pair, _ = break_triangles(g)
+    _, additions = reduce_odd_cycles(g, pair)
+    remaining = set(range(g.n)) - pair.marked
+    for add in [None] + additions:
+        if add is not None:
+            remaining.discard(add.vertex)
+        sub, _ = induced_subgraph(g, remaining)
+        assert shortest_odd_cycle(sub) == oracles.reference_shortest_odd_cycle(sub)

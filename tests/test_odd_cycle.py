@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from packfour.errors import StuckOddCycle
-from packfour.generators import petersen, prism, random_cubic
+from packfour.generators import petersen, prism, problem1_family, random_cubic
 from packfour.graph import build_graph, bipartition_or_odd_cycle, induced_subgraph, list_triangles
 from packfour.odd_cycle import Addition, ReductionState, addable_side, reduce_odd_cycles
 from packfour.packing import is_k_packing
@@ -62,6 +62,17 @@ def test_reduce_pentagonal_prism_frozen():
     assert state.base_a == frozenset() and state.base_b == frozenset()
     assert state.remaining == frozenset(range(10)) - {0, 5}
     assert tuple(additions) == state.additions
+
+
+def test_reduce_problem1_gadget_frozen():
+    # long odd cycles, and two absorptions from cycles of equal length
+    g = problem1_family(30, 1)
+    pair, _ = break_triangles(g)
+    state, additions = reduce_odd_cycles(g, pair)
+    assert [(a.vertex, a.side, a.cycle_length) for a in additions] == [
+        (68, "B", 13), (35, "A", 15), (115, "B", 17), (11, "A", 17),
+    ]
+    check_reduction(g, pair, state, additions)
 
 
 def test_reduce_noop_when_remainder_bipartite():
