@@ -157,18 +157,20 @@ def find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
 
 
 def induced_subgraph(g: Graph, keep) -> tuple[Graph, list[int]]:
-    """Subgraph induced by `keep`, plus the increasing new->old vertex map."""
+    """Subgraph induced by `keep`, plus the increasing new->old vertex map.
+
+    The map is monotone and g's adjacency tuples are sorted, so relabelling
+    them keeps them sorted and simple: no revalidation through build_graph.
+    """
     mapping = sorted(set(keep))
     for v in mapping:
         if not 0 <= v < g.n:
             raise VertexOutOfRange(v, g.n)
-    index = {old: new for new, old in enumerate(mapping)}
-    edges = []
-    for new_u, old_u in enumerate(mapping):
-        for old_v in g.adj[old_u]:
-            if old_v in index and old_v > old_u:
-                edges.append((new_u, index[old_v]))
-    return build_graph(len(mapping), edges), mapping
+    new = [-1] * g.n
+    for i, old in enumerate(mapping):
+        new[old] = i
+    adj = tuple(tuple([new[w] for w in g.adj[old] if new[w] >= 0]) for old in mapping)
+    return Graph(n=len(mapping), adj=adj, m=sum(map(len, adj)) // 2), mapping
 
 
 def components(g: Graph) -> list[list[int]]:
@@ -202,6 +204,37 @@ def _canonical_cycle(seq: list[int]) -> OddCycle:
     return tuple(rot)
 
 
+def _two_coloring(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None, list[int]]:
+    # BFS-2-color every component, roots ascending; returns (color, parent,
+    # first conflicting edge in BFS order or None, the vertices of every
+    # component holding a conflict).  Parents are fixed at discovery, so
+    # finishing later components never moves the first conflict's tree paths.
+    color = [-1] * g.n
+    parent = [-1] * g.n
+    conflict = None
+    odd: list[int] = []
+    for root in range(g.n):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        parent[root] = root
+        comp = [root]
+        clash = False
+        for u in comp:  # grows while iterated: a BFS queue
+            for v in g.adj[u]:
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    parent[v] = u
+                    comp.append(v)
+                elif not clash and color[v] == color[u]:
+                    clash = True
+                    if conflict is None:
+                        conflict = (u, v)
+        if clash:
+            odd.extend(comp)
+    return color, parent, conflict, odd
+
+
 def bipartition_or_odd_cycle(g: Graph):
     """2-color each component or exhibit a simple odd cycle.
 
@@ -209,23 +242,9 @@ def bipartition_or_odd_cycle(g: Graph):
     roots are the smallest unvisited ids and a root always gets class 0 — or
     an odd cycle tuple on the first conflict found in BFS order.
     """
-    color: list[int] = [-1] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        parent[root] = root
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for v in g.adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    q.append(v)
-                elif color[v] == color[u]:
-                    return _odd_cycle_from_conflict(u, v, parent)
+    color, parent, conflict, _ = _two_coloring(g)
+    if conflict is not None:
+        return _odd_cycle_from_conflict(*conflict, parent)
     return (
         sorted(v for v in range(g.n) if color[v] == 0),
         sorted(v for v in range(g.n) if color[v] == 1),
@@ -262,34 +281,39 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     minimum in scan order: smallest source, then the lexicographically first
     edge in one of its layers.
 
-    All sources are swept at once, one layer per round, on Python-int bitsets:
-    layer[v] holds the sources at distance exactly d from v.  The first round
-    in which some edge has layer[u] & layer[v] nonzero fixes the minimum; the
-    lowest bit of the union is the witness source, whose BFS tree is then
-    spliced at the first such edge.  A round in which no layer grows means
-    every BFS has ended without a conflict, so the graph is bipartite.
+    One 2-coloring pass first finds the non-bipartite components; with none,
+    the graph is bipartite and the answer is None at once.  A source in a
+    bipartite component never sees such an edge, so only the vertices of the
+    other components are swept, all at once, one layer per round, on
+    Python-int bitsets: layer[v] holds the sources at distance exactly d from
+    v.  The first round in which some vertex shares a source with a
+    neighbour's layer fixes the minimum; the lowest bit of the union is the
+    witness source, whose BFS tree is then spliced at the first edge holding
+    it.  Every source there has such a round, so the sweep always ends.
     """
-    edges = list(g.edges())
-    layer = [1 << v for v in range(g.n)]
+    odd = _two_coloring(g)[3]
+    if not odd:
+        return None
+    layer = [0] * g.n
+    for v in odd:
+        layer[v] = 1 << v
     seen = layer[:]
+    adj = g.adj
     while True:
         hit = 0
-        for u, v in edges:
-            hit |= layer[u] & layer[v]
-        if hit:
-            break
-        nxt = []
-        for x, nbrs in enumerate(g.adj):
+        nxt = [0] * g.n
+        for x in odd:
             reach = 0
-            for y in nbrs:
+            for y in adj[x]:
                 reach |= layer[y]
+            hit |= reach & layer[x]
             reach &= ~seen[x]
             seen[x] |= reach
-            nxt.append(reach)
-        if not any(nxt):
-            return None
+            nxt[x] = reach
+        if hit:
+            break
         layer = nxt
     low = hit & -hit
     s = low.bit_length() - 1
-    u, v = next((u, v) for u, v in edges if layer[u] & layer[v] & low)
+    u, v = next((u, v) for u, v in g.edges() if layer[u] & layer[v] & low)
     return _odd_cycle_from_conflict(u, v, _bfs_parents(g, s)[1])

@@ -6,9 +6,11 @@ vertices in witness order, and absorb the first one that can join a side
 without breaking that side's 2-packing — side a is tried before side b.
 Distances are always measured in the original graph, not the remainder.
 
-graph.shortest_odd_cycle finds each cycle with one layer sweep that runs a BFS
-from every remainder vertex at once on bitsets, plus one ordinary BFS from the
-witness source, so the remainder need not be claw-free or of maximum degree 2.
+graph.shortest_odd_cycle first 2-colors the remainder: a bipartite remainder
+ends the loop at once, and bipartite components are left out of the search.
+On the vertices of the other components it runs one layer sweep, a BFS from
+each of them at once on bitsets, plus one ordinary BFS from the witness
+source, so the remainder need not be claw-free or of maximum degree 2.
 
 Every absorption deletes a vertex from the remainder, so the loop ends after
 at most n steps with a bipartite remainder, or raises StuckOddCycle carrying

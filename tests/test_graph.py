@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packfour.errors import DuplicateEdge, SelfLoop, VertexOutOfRange
 from packfour.generators import cycle, k4, k33, petersen, prism, problem1_family, random_cubic
@@ -158,6 +159,24 @@ def test_induced_subgraph_edge_membership(g):
     assert {(back[u], back[v]) for u, v in sub.edges()} == original
 
 
+@given(graphs(max_n=10), st.data())
+@settings(max_examples=80)
+def test_induced_subgraph_equals_validated_build(g, data):
+    # the direct relabelling must equal a round trip through build_graph
+    mask = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    keep = [v for v in g.vertices() if mask[v]]
+    sub, mapping = induced_subgraph(g, keep)
+    new = {old: i for i, old in enumerate(mapping)}
+    edges = [(new[u], new[v]) for u, v in g.edges() if u in new and v in new]
+    assert sub == build_graph(len(mapping), edges)
+
+
+def test_induced_subgraph_rejects_out_of_range():
+    for bad in (6, -1):
+        with pytest.raises(VertexOutOfRange):
+            induced_subgraph(prism(), [0, bad])
+
+
 def test_components():
     g = oracles.disjoint_union(k4(), prism())
     assert components(g) == [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]]
@@ -168,6 +187,9 @@ def test_bipartition_frozen():
     assert bipartition_or_odd_cycle(cycle(6)) == ([0, 2, 4], [1, 3, 5])
     assert bipartition_or_odd_cycle(cycle(5)) == (0, 1, 2, 3, 4)
     assert bipartition_or_odd_cycle(k33()) == ([0, 1, 2], [3, 4, 5])
+    # the conflict sits in the second component, after a bipartite first one
+    c6_c5 = oracles.disjoint_union(cycle(6), cycle(5))
+    assert bipartition_or_odd_cycle(c6_c5) == (6, 7, 8, 9, 10)
 
 
 def _is_odd_cycle_result(res):
@@ -250,3 +272,28 @@ def test_shortest_odd_cycle_witness_on_reducer_remainders(n, seed):
             remaining.discard(add.vertex)
         sub, _ = induced_subgraph(g, remaining)
         assert shortest_odd_cycle(sub) == oracles.reference_shortest_odd_cycle(sub)
+
+
+@pytest.mark.parametrize(
+    "g, want",
+    [
+        (oracles.disjoint_union(cycle(6), cycle(5)), (6, 7, 8, 9, 10)),
+        (oracles.disjoint_union(cycle(5), cycle(7)), (0, 1, 2, 3, 4)),
+        (build_graph(0, []), None),
+        (build_graph(4, []), None),
+    ],
+    ids=["C6+C5", "C5+C7", "n0", "edgeless"],
+)
+def test_shortest_odd_cycle_over_components(g, want):
+    assert shortest_odd_cycle(g) == want
+    assert shortest_odd_cycle(g) == oracles.reference_shortest_odd_cycle(g)
+
+
+@given(graphs(max_n=8), graphs(max_n=8), st.data())
+@settings(max_examples=80)
+def test_shortest_odd_cycle_witness_on_relabelled_unions(g1, g2, data):
+    # a random relabelling often puts a bipartite component on the smallest
+    # labels, ahead of the component holding the witness
+    union = oracles.disjoint_union(g1, g2)
+    g = oracles.permute(union, data.draw(st.permutations(range(union.n))))
+    assert shortest_odd_cycle(g) == oracles.reference_shortest_odd_cycle(g)
