@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .errors import (
     BadParameter,
@@ -45,7 +46,7 @@ from .generators import (
     random_cubic,
 )
 from .graph import Graph
-from .oracle import DEFAULT_VERTEX_CAP, batch_decide, exists_spacking
+from .oracle import DEFAULT_VERTEX_CAP, batch_decide, exists_spacking, ordered_map
 from .packing import SSpec, parse_sspec, verify_spacking
 from .pipeline import color_claw_free_cubic
 
@@ -55,6 +56,11 @@ def _read_text(path: str | None) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _lines(text: str) -> list[str]:
+    """The non-blank lines of text, stripped."""
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 def _sniff_format(text: str) -> str:
@@ -71,7 +77,7 @@ def _load_graphs(text: str, fmt: str) -> list[Graph]:
         fmt = _sniff_format(text)
     if fmt == "edgelist":
         return [parse_edge_list(text)]
-    return [parse_graph6(line.strip()) for line in text.splitlines() if line.strip()]
+    return [parse_graph6(line) for line in _lines(text)]
 
 
 def _default_seed(value: int | None) -> int:
@@ -101,10 +107,6 @@ def _color_one(line_or_graph, force: bool) -> tuple[str, str]:
         return ("stuck", str(e))
 
 
-def _color_worker(args: tuple[str, bool]) -> tuple[str, str]:
-    return _color_one(args[0], args[1])
-
-
 _EXIT_BY_STATUS = {"ok": 0, "parse": 2, "hypothesis": 3, "stuck": 4}
 
 
@@ -118,14 +120,8 @@ def cmd_color(args) -> int:
             print(f"graph 0: parse error: {e}", file=sys.stderr)
             return 2
     else:
-        work = [line.strip() for line in text.splitlines() if line.strip()]
-    if args.jobs > 1 and len(work) > 1 and fmt == "graph6":
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_color_worker, [(w, args.force) for w in work]))
-    else:
-        results = [_color_one(w, args.force) for w in work]
+        work = _lines(text)
+    results = ordered_map(partial(_color_one, force=args.force), work, args.jobs)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     exit_code = 0
     try:
@@ -184,18 +180,22 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _print_verdict_row(rec: dict) -> None:
+    """One TSV row: index, n ('-' if unparsed), verdict, detail."""
+    n = rec["n"] if rec["n"] is not None else "-"
+    print(f"{rec['index']}\t{n}\t{rec['verdict']}\t{rec['detail']}")
+
+
 def cmd_oracle(args) -> int:
     try:
         s = parse_sspec(args.s)
     except PackfourError as e:
         print(f"bad --s: {e}", file=sys.stderr)
         return 2
-    text = _read_text(args.input)
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    records, summary = batch_decide(lines, s, vertex_cap=args.cap, jobs=args.jobs)
+    records, summary = batch_decide(_lines(_read_text(args.input)), s, vertex_cap=args.cap,
+                                    jobs=args.jobs)
     for rec in records:
-        print(f"{rec['index']}\t{rec['n'] if rec['n'] is not None else '-'}"
-              f"\t{rec['verdict']}\t{rec['detail']}")
+        _print_verdict_row(rec)
         if "flag" in rec:
             print(f"flagged graph {rec['index']}: {rec['flag']}: {rec['echo']}",
                   file=sys.stderr)
@@ -246,8 +246,7 @@ def cmd_gen(args) -> int:
 
 def _experiment_corpus(args) -> list[str]:
     if args.input:
-        text = _read_text(args.input)
-        return [line.strip() for line in text.splitlines() if line.strip()]
+        return _lines(_read_text(args.input))
     default = [k4(), prism(), diamond_necklace(2), diamond_necklace(3), inflate(k4())]
     return [write_graph6(g) for g in default]
 
@@ -258,8 +257,7 @@ def cmd_experiment(args) -> int:
         s = SSpec((1, 1, 2, 3))
         records, summary = batch_decide(lines, s, vertex_cap=args.cap, jobs=args.jobs)
         for rec in records:
-            print(f"{rec['index']}\t{rec['n'] if rec['n'] is not None else '-'}"
-                  f"\t{rec['verdict']}\t{rec['detail']}")
+            _print_verdict_row(rec)
         for flagged in summary["flagged"]:
             print(f"CANDIDATE {flagged['flag']}: {flagged['graph6']}")
         print(json.dumps(summary, sort_keys=True))

@@ -10,6 +10,7 @@ is "?".
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .errors import (
     BadChar,
@@ -169,9 +170,27 @@ def read_certificate(text: str) -> dict:
     return cert
 
 
+def _ints(values) -> bool:
+    # JSON true/false decode to bool, a subclass of int: rejected too
+    return type(values) is list and {*map(type, values)} <= {int}
+
+
 def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
-    """Rebuild the graph, spec and coloring a certificate claims to certify."""
-    g = build_graph(cert["n"], [tuple(e) for e in cert["edges"]])
+    """Rebuild the graph, spec and coloring a certificate claims to certify.
+
+    Every field is type-checked first: a mistyped one is a ParseError.
+    """
+    if type(cert["n"]) is not int:
+        raise ParseError(1, "certificate field 'n' is not an integer")
+    edges = cert["edges"]
+    if not (type(edges) is list and {*map(type, edges)} <= {list}
+            and {*map(len, edges)} <= {2} and {*map(type, chain.from_iterable(edges))} <= {int}):
+        raise ParseError(1, "certificate field 'edges' is not a list of integer pairs")
+    if not _ints(cert["s_spec"]):
+        raise ParseError(1, "certificate field 's_spec' is not a list of integers")
+    if type(cert["classes"]) is not dict or not all(map(_ints, cert["classes"].values())):
+        raise ParseError(1, "certificate field 'classes' is not an object of integer lists")
+    g = build_graph(cert["n"], [tuple(e) for e in edges])
     s = SSpec(tuple(cert["s_spec"]))
     name_to_index = {name: idx for idx, name in CLASS_NAMES.items()}
     coloring: list[int | None] = [None] * g.n

@@ -204,51 +204,33 @@ def _canonical_cycle(seq: list[int]) -> OddCycle:
     return tuple(rot)
 
 
-def _two_coloring(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None, list[int]]:
-    # BFS-2-color every component, roots ascending; returns (color, parent,
-    # first conflicting edge in BFS order or None, the vertices of every
-    # component holding a conflict).  Parents are fixed at discovery, so
-    # finishing later components never moves the first conflict's tree paths.
+def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
+    """BFS 2-coloring of every component, roots ascending; returns (color, odd).
+
+    Each root, the smallest vertex of its component, gets color 0 and every
+    other vertex the opposite color of its BFS parent.  odd lists the vertices
+    of every component holding an edge whose ends share a color, in BFS order;
+    it is empty exactly when g is bipartite, and then color is a proper
+    2-coloring.
+    """
     color = [-1] * g.n
-    parent = [-1] * g.n
-    conflict = None
     odd: list[int] = []
     for root in range(g.n):
         if color[root] != -1:
             continue
         color[root] = 0
-        parent[root] = root
         comp = [root]
         clash = False
         for u in comp:  # grows while iterated: a BFS queue
             for v in g.adj[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
-                    parent[v] = u
                     comp.append(v)
-                elif not clash and color[v] == color[u]:
+                elif color[v] == color[u]:
                     clash = True
-                    if conflict is None:
-                        conflict = (u, v)
         if clash:
             odd.extend(comp)
-    return color, parent, conflict, odd
-
-
-def bipartition_or_odd_cycle(g: Graph):
-    """2-color each component or exhibit a simple odd cycle.
-
-    Returns (class0, class1) as sorted lists on bipartite input — component
-    roots are the smallest unvisited ids and a root always gets class 0 — or
-    an odd cycle tuple on the first conflict found in BFS order.
-    """
-    color, parent, conflict, _ = _two_coloring(g)
-    if conflict is not None:
-        return _odd_cycle_from_conflict(*conflict, parent)
-    return (
-        sorted(v for v in range(g.n) if color[v] == 0),
-        sorted(v for v in range(g.n) if color[v] == 1),
-    )
+    return color, odd
 
 
 def _path_to_root(v: int, parent: list[int]) -> list[int]:
@@ -281,8 +263,8 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     minimum in scan order: smallest source, then the lexicographically first
     edge in one of its layers.
 
-    One 2-coloring pass first finds the non-bipartite components; with none,
-    the graph is bipartite and the answer is None at once.  A source in a
+    two_coloring first finds the non-bipartite components; with none, the
+    graph is bipartite and the answer is None at once.  A source in a
     bipartite component never sees such an edge, so only the vertices of the
     other components are swept, all at once, one layer per round, on
     Python-int bitsets: layer[v] holds the sources at distance exactly d from
@@ -291,7 +273,7 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     witness source, whose BFS tree is then spliced at the first edge holding
     it.  Every source there has such a round, so the sweep always ends.
     """
-    odd = _two_coloring(g)[3]
+    odd = two_coloring(g)[1]
     if not odd:
         return None
     layer = [0] * g.n

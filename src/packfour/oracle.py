@@ -14,6 +14,7 @@ about packing pairs or reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .graph import Graph, bfs_distances, find_claw, is_cubic
 from .formats import parse_graph6, write_graph6
@@ -120,9 +121,15 @@ def decide_line(line: str, s: SSpec, vertex_cap: int) -> dict:
     return record
 
 
-def _decide_args(args: tuple[str, tuple[int, ...], int]) -> dict:
-    line, values, cap = args
-    return decide_line(line, SSpec(values), cap)
+def ordered_map(fn, items: list, jobs: int) -> list:
+    """[fn(x) for x in items], spread over `jobs` worker processes when jobs > 1
+    and there are two or more items; results keep input order either way."""
+    if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def batch_decide(lines, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP,
@@ -131,15 +138,7 @@ def batch_decide(lines, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP,
 
     Returns (records, summary).  Records keep input order even with jobs > 1.
     """
-    lines = [ln for ln in lines]
-    if jobs > 1 and len(lines) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_decide_args,
-                                    [(ln, tuple(s.values), vertex_cap) for ln in lines]))
-    else:
-        records = [decide_line(ln, s, vertex_cap) for ln in lines]
+    records = ordered_map(partial(decide_line, s=s, vertex_cap=vertex_cap), list(lines), jobs)
     for i, rec in enumerate(records):
         rec["index"] = i
     summary = {

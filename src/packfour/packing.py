@@ -62,21 +62,6 @@ class Violation:
                 f"at distance {self.dist}")
 
 
-def is_k_packing(g: Graph, s, k: int) -> bool:
-    """True iff the vertices of s are pairwise at distance > k.
-
-    Empty and singleton sets are k-packings for every k.  Each member only
-    explores its radius-k ball, so the check is cheap for small k.
-    """
-    members = sorted(set(s))
-    for u in members:
-        near = vertices_within(g, [u], k)
-        for v in members:
-            if v != u and v in near:
-                return False
-    return True
-
-
 def verify_spacking(g: Graph, s: SSpec, c: Coloring) -> Violation | None:
     """None if c is a valid S-packing coloring of g, else the first violation.
 

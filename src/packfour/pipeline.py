@@ -2,17 +2,19 @@
 
 Stage one extracts two disjoint 2-packings that hit every triangle; stage two
 absorbs one vertex per remaining odd cycle until the remainder is bipartite.
-The two bipartition sides become the 1-packing classes 1a/1b, the grown
-2-packings become 2a/2b.  The certificate writer verifies the result and
-refuses an invalid one, so the pipeline can fail loudly but never emit a
-wrong answer.
+One 2-coloring of that remainder gives the 1-packing classes 1a/1b (color 0
+and color 1), the grown 2-packings become 2a/2b.  A remainder that is still
+not bipartite is a RuntimeError naming an odd cycle of it.  The certificate
+writer verifies the result and refuses an invalid one, so the pipeline can
+fail loudly but never emit a wrong answer.
 """
 
 from __future__ import annotations
 
 from .errors import NotClawFree
 from .formats import write_certificate
-from .graph import Graph, bipartition_or_odd_cycle, find_claw, induced_subgraph, require_cubic
+from .graph import (Graph, find_claw, induced_subgraph, require_cubic, shortest_odd_cycle,
+                    two_coloring)
 from .odd_cycle import reduce_odd_cycles
 from .packing import Coloring
 from .triangle_break import break_triangles
@@ -36,15 +38,13 @@ def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]
     pair, lemma_trace = break_triangles(g)
     state, reducer_trace = reduce_odd_cycles(g, pair)
     sub, mapping = induced_subgraph(g, state.remaining)
-    result = bipartition_or_odd_cycle(sub)
-    if len(result) != 2:  # an odd cycle has at least 3 vertices
-        raise RuntimeError(f"remainder not bipartite after reduction: {result}")
-    side0, side1 = result
+    color, odd = two_coloring(sub)
+    if odd:
+        cycle = tuple(mapping[i] for i in shortest_odd_cycle(sub))
+        raise RuntimeError(f"remainder not bipartite after reduction: odd cycle {cycle}")
     coloring: list[int] = [0] * g.n
-    for i in side0:
-        coloring[mapping[i]] = CLASS_1A
-    for i in side1:
-        coloring[mapping[i]] = CLASS_1B
+    for i, v in enumerate(mapping):
+        coloring[v] = CLASS_1A + color[i]
     for v in state.ext_a:
         coloring[v] = CLASS_2A
     for v in state.ext_b:

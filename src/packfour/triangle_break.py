@@ -6,13 +6,13 @@ The search keeps a pair of vertex sets (a, b) subject to three conditions:
   (2) every chosen vertex lies in at least one triangle,
   (3) no triangle contains two chosen vertices,
 
-and hill-climbs on total vertex weight — `heavy` for a vertex in two or more
-triangles, `light` for exactly one, 0 otherwise — until no triangle survives
+and hill-climbs on total vertex weight — HEAVY = 2 for a vertex in two or more
+triangles, LIGHT = 1 for exactly one, 0 otherwise — until no triangle survives
 outside a u b.  Moves are bounded exchanges: at most one removal per side, at
 most two additions in total, removals within distance 2 of an added vertex.
 Every step is a local strict ascent: its additions lie within distance 3 of
-the first surviving triangle and it strictly increases the weight, so with
-default integer weights a run takes at most 2n steps.
+the first surviving triangle and it strictly increases the integer weight,
+which never exceeds 2n, so a run takes at most 2n steps.
 
 Moves around a triangle are generated lazily in canonical order (Move.sort_key:
 additions, then removals) and each candidate is checked once, cheapest test
@@ -45,22 +45,15 @@ from .graph import (
 SIDE_A = 0
 SIDE_B = 1
 
-
-@dataclass(frozen=True)
-class Weights:
-    heavy: float = 2
-    light: float = 1
-
-    def __post_init__(self):
-        if not self.heavy > self.light > 0:
-            raise ValueError(f"need heavy > light > 0, got {self.heavy}, {self.light}")
+HEAVY = 2  # weight of a vertex in two or more triangles
+LIGHT = 1  # weight of a vertex in exactly one triangle
 
 
 @dataclass(frozen=True)
 class PackingPair:
     a: frozenset[int]
     b: frozenset[int]
-    weight: float
+    weight: int
     surviving: int  # triangles with no vertex in a u b
 
     @property
@@ -85,8 +78,8 @@ class Move:
 @dataclass(frozen=True)
 class AppliedMove:
     move: Move
-    weight_before: float
-    weight_after: float
+    weight_before: int
+    weight_after: int
     surviving_after: int
 
     def to_record(self) -> dict:
@@ -99,25 +92,6 @@ class AppliedMove:
             "w_after": self.weight_after,
             "gamma_after": self.surviving_after,
         }
-
-
-@dataclass(frozen=True)
-class PairViolation:
-    condition: int
-    vertices: tuple[int, ...]
-    detail: str
-
-    def __str__(self):
-        return f"condition ({self.condition}) violated by {list(self.vertices)}: {self.detail}"
-
-
-def vertex_weight(g: Graph, weights: Weights, counts: list[int], v: int) -> float:
-    """Weight of one vertex given its triangle-membership count."""
-    if counts[v] >= 2:
-        return weights.heavy
-    if counts[v] == 1:
-        return weights.light
-    return 0
 
 
 def _choices(items: list, compatible) -> Iterator[tuple]:
@@ -136,11 +110,11 @@ class _Search:
     """Precomputed triangle structure and radius-2 balls shared by every
     operation on one graph."""
 
-    def __init__(self, g: Graph, weights: Weights):
+    def __init__(self, g: Graph):
         self.g = g
         self.triangles: list[Triangle] = list_triangles(g)
         self.counts = triangle_membership_counts(g)
-        self.wvec = [vertex_weight(g, weights, self.counts, v) for v in range(g.n)]
+        self.wvec = [HEAVY if c >= 2 else LIGHT if c else 0 for c in self.counts]
         self.tri_by_vertex: list[list[int]] = [[] for _ in range(g.n)]
         for i, t in enumerate(self.triangles):
             for v in t:
@@ -199,46 +173,7 @@ class _Search:
                        for v in added for ti in self.tri_by_vertex[v])  # condition (3)
 
 
-def recompute_pair(g: Graph, weights: Weights, a, b) -> PackingPair:
-    """Weight and surviving-triangle count from scratch, for cache checks."""
-    return _Search(g, weights).pair_from_sets(a, b)
-
-
-def check_packing_pair(g: Graph, a, b) -> list[PairViolation]:
-    """All violations of conditions (1)(2)(3); empty list means the pair is valid."""
-    a = set(a)
-    b = set(b)
-    counts = triangle_membership_counts(g)
-    out: list[PairViolation] = []
-    for v in sorted(a & b):
-        out.append(PairViolation(1, (v,), "vertex chosen on both sides"))
-    for name, side in (("a", a), ("b", b)):
-        members = sorted(side)
-        for i, u in enumerate(members):
-            near = vertices_within(g, [u], 2)
-            for v in members[i + 1:]:
-                if v in near:
-                    out.append(PairViolation(
-                        1, (u, v), f"distance < 3 within side {name}"))
-    for v in sorted(a | b):
-        if counts[v] == 0:
-            out.append(PairViolation(2, (v,), "chosen vertex lies in no triangle"))
-    marked = a | b
-    for t in list_triangles(g):
-        hit = sorted(set(t) & marked)
-        if len(hit) >= 2:
-            out.append(PairViolation(3, t, f"triangle contains {hit}"))
-    return out
-
-
-def surviving_triangles(g: Graph, pair: PackingPair) -> list[Triangle]:
-    """Triangles disjoint from a u b, in lexicographic order."""
-    marked = pair.marked
-    return [t for t in list_triangles(g) if not (set(t) & marked)]
-
-
-def enumerate_improving_moves(g: Graph, weights: Weights, pair: PackingPair,
-                              t: Triangle) -> Iterator[Move]:
+def enumerate_improving_moves(g: Graph, pair: PackingPair, t: Triangle) -> Iterator[Move]:
     """Improving moves whose additions stay within distance 3 of triangle t.
 
     Improving means strictly weight-increasing.  t must be a surviving
@@ -249,7 +184,7 @@ def enumerate_improving_moves(g: Graph, weights: Weights, pair: PackingPair,
     """
     if set(t) & pair.marked:
         raise ValueError(f"triangle {t} is not surviving for this pair")
-    yield from _Search(g, weights).improving_moves(pair, t)
+    yield from _Search(g).improving_moves(pair, t)
 
 
 def _k4_components(g: Graph) -> list[list[int]]:
@@ -261,8 +196,7 @@ def _k4_components(g: Graph) -> list[list[int]]:
     return out
 
 
-def break_triangles(g: Graph, weights: Weights | None = None
-                    ) -> tuple[PackingPair, list[AppliedMove]]:
+def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
     """Run the search to a pair with no surviving triangle; return it with its trace.
 
     The input must be cubic.  K4 components get their fixed placement first;
@@ -271,8 +205,7 @@ def break_triangles(g: Graph, weights: Weights | None = None
     it.  Raises Stuck when that triangle has no such move.
     """
     require_cubic(g)
-    weights = weights if weights is not None else Weights()
-    search = _Search(g, weights)
+    search = _Search(g)
     pair = search.pair_from_sets((), ())
     trace: list[AppliedMove] = []
 

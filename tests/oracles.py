@@ -3,16 +3,19 @@
 Everything here is deliberately naive (Floyd-Warshall, triple scans,
 exhaustive DFS cycle enumeration) so that agreement with the package is
 meaningful.  Keep these free of imports from the modules under test other
-than the Graph container itself.
+than the Graph and PackingPair containers and build_graph.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from packfour.graph import Graph, build_graph
+from packfour.triangle_break import PackingPair
 
 INF = float("inf")
 
@@ -42,6 +45,68 @@ def brute_triangles(g: Graph) -> list[tuple[int, int, int]]:
     for a, b, c in itertools.combinations(range(g.n), 3):
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
             out.append((a, b, c))
+    return out
+
+
+@lru_cache(maxsize=64)
+def cached_distances(g: Graph) -> list[list[float]]:
+    """floyd_warshall(g), computed once per graph; callers must not mutate it."""
+    return floyd_warshall(g)
+
+
+@lru_cache(maxsize=64)
+def cached_triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """brute_triangles(g), computed once per graph; callers must not mutate it."""
+    return brute_triangles(g)
+
+
+def is_k_packing(g: Graph, s, k: int) -> bool:
+    """True iff the vertices of s are pairwise at distance > k."""
+    d = cached_distances(g)
+    return all(d[u][v] > k for u, v in itertools.combinations(sorted(set(s)), 2))
+
+
+def recompute_pair(g: Graph, a, b) -> PackingPair:
+    """The pair (a, b) with its weight and surviving-triangle count from scratch:
+    a chosen vertex weighs 2 in two or more triangles, 1 in exactly one."""
+    tris = cached_triangles(g)
+    marked = set(a) | set(b)
+    weight = sum(min(2, sum(v in t for t in tris)) for v in marked)
+    surviving = sum(1 for t in tris if not marked & set(t))
+    return PackingPair(frozenset(a), frozenset(b), weight, surviving)
+
+
+def surviving_triangles(g: Graph, pair: PackingPair) -> list[tuple[int, int, int]]:
+    """Triangles disjoint from a u b, in lexicographic order."""
+    marked = set(pair.a) | set(pair.b)
+    return [t for t in cached_triangles(g) if not marked & set(t)]
+
+
+@dataclass(frozen=True)
+class PairViolation:
+    condition: int
+    vertices: tuple[int, ...]
+    detail: str
+
+
+def check_packing_pair(g: Graph, a, b) -> list[PairViolation]:
+    """Every violation of the breaker's conditions on (a, b), in this order:
+    (1) a vertex on both sides, (1) two vertices of one side at distance < 3,
+    (2) a chosen vertex in no triangle, (3) a triangle with two chosen
+    vertices.  An empty list means the pair is valid."""
+    d = cached_distances(g)
+    tris = cached_triangles(g)
+    a, b = set(a), set(b)
+    out = [PairViolation(1, (v,), "vertex chosen on both sides") for v in sorted(a & b)]
+    for name, side in (("a", a), ("b", b)):
+        out += [PairViolation(1, (u, v), f"distance < 3 within side {name}")
+                for u, v in itertools.combinations(sorted(side), 2) if d[u][v] < 3]
+    out += [PairViolation(2, (v,), "chosen vertex lies in no triangle")
+            for v in sorted(a | b) if not any(v in t for t in tris)]
+    for t in tris:
+        hit = sorted(set(t) & (a | b))
+        if len(hit) >= 2:
+            out.append(PairViolation(3, t, f"triangle contains {hit}"))
     return out
 
 

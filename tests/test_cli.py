@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
+
 from packfour.cli import main
 from packfour.formats import parse_graph6, write_graph6
 from packfour.generators import cycle, k4, petersen, prism
@@ -150,6 +152,26 @@ def test_verify_unreadable_certificate(tmp_path, capsys):
     bad = write(tmp_path, "cert.json", "{broken")
     code, _, err = run(capsys, "verify", inp, bad)
     assert code == 1 and "certificate" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("classes", []),
+    ("n", "6"),
+    ("n", True),
+    ("edges", [1, 2]),
+    ("edges", [[0, 1, 2]]),
+    ("s_spec", 5),
+    ("classes", {"1a": [0.5]}),
+    ("classes", {"1a": 5}),
+])
+def test_verify_mistyped_certificate_field(tmp_path, capsys, field, value):
+    inp, cert_path = color_to_file(tmp_path, capsys, prism())
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    cert[field] = value
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    code, _, err = run(capsys, "verify", inp, cert_path)
+    assert code == 1
+    assert err.startswith("certificate: ")
 
 
 # ----------------------------------------------------------------- oracle

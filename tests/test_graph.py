@@ -12,7 +12,6 @@ from packfour.generators import cycle, k4, k33, petersen, prism, problem1_family
 from packfour.graph import (
     INF,
     bfs_distances,
-    bipartition_or_odd_cycle,
     build_graph,
     components,
     find_claw,
@@ -21,6 +20,7 @@ from packfour.graph import (
     list_triangles,
     shortest_odd_cycle,
     triangle_membership_counts,
+    two_coloring,
     vertices_within,
 )
 from packfour.odd_cycle import reduce_odd_cycles
@@ -184,36 +184,28 @@ def test_components():
 
 
 def test_bipartition_frozen():
-    assert bipartition_or_odd_cycle(cycle(6)) == ([0, 2, 4], [1, 3, 5])
-    assert bipartition_or_odd_cycle(cycle(5)) == (0, 1, 2, 3, 4)
-    assert bipartition_or_odd_cycle(k33()) == ([0, 1, 2], [3, 4, 5])
+    assert two_coloring(cycle(6)) == ([0, 1, 0, 1, 0, 1], [])
+    assert two_coloring(cycle(5)) == ([0, 1, 0, 0, 1], [0, 1, 4, 2, 3])
+    assert two_coloring(k33()) == ([0, 0, 0, 1, 1, 1], [])
     # the conflict sits in the second component, after a bipartite first one
     c6_c5 = oracles.disjoint_union(cycle(6), cycle(5))
-    assert bipartition_or_odd_cycle(c6_c5) == (6, 7, 8, 9, 10)
-
-
-def _is_odd_cycle_result(res):
-    return res and isinstance(res[0], int)
+    assert two_coloring(c6_c5) == ([0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1], [6, 7, 10, 8, 9])
 
 
 @given(graphs(max_n=10))
 @settings(max_examples=80)
-def test_bipartition_or_odd_cycle_sound(g):
-    res = bipartition_or_odd_cycle(g)
-    odd_exists = oracles.shortest_odd_cycle_length(g) is not None
-    if _is_odd_cycle_result(res):
-        assert odd_exists
-        cyc = res
-        assert len(cyc) % 2 == 1 and len(cyc) >= 3
-        assert len(set(cyc)) == len(cyc)
-        for i in range(len(cyc)):
-            assert g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
-    else:
-        assert not odd_exists
-        side0, side1 = res
-        assert sorted(side0 + side1) == list(g.vertices())
-        for u, v in g.edges():
-            assert (u in side0) != (v in side0)
+def test_two_coloring_sound(g):
+    color, odd = two_coloring(g)
+    d = oracles.floyd_warshall(g)
+    odd_cycles = [c for c in oracles.all_simple_cycles(g) if len(c) % 2 == 1]
+    for v in g.vertices():
+        # BFS layer parity from the smallest vertex of v's component
+        root = min(u for u in g.vertices() if d[v][u] < INF)
+        assert color[v] == d[root][v] % 2
+    assert sorted(odd) == [v for v in g.vertices()
+                           if any(d[v][c[0]] < INF for c in odd_cycles)]
+    if not odd:
+        assert all(color[u] != color[v] for u, v in g.edges())
 
 
 def test_shortest_odd_cycle_frozen():

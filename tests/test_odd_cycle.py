@@ -4,14 +4,11 @@ import pytest
 
 from packfour.errors import StuckOddCycle
 from packfour.generators import petersen, prism, problem1_family, random_cubic
-from packfour.graph import build_graph, bipartition_or_odd_cycle, induced_subgraph, list_triangles
+from packfour.graph import build_graph, induced_subgraph, list_triangles, two_coloring
 from packfour.odd_cycle import Addition, ReductionState, addable_side, reduce_odd_cycles
-from packfour.packing import is_k_packing
-from packfour.triangle_break import break_triangles, recompute_pair, Weights
+from packfour.triangle_break import break_triangles
 
-import oracles
-
-W = Weights()
+from oracles import is_k_packing, recompute_pair
 
 
 def pentagonal_prism():
@@ -23,7 +20,7 @@ def pentagonal_prism():
 
 
 def state_for(g, a, b):
-    pair = recompute_pair(g, W, a, b)
+    pair = recompute_pair(g, a, b)
     return ReductionState(
         base_a=pair.a, base_b=pair.b,
         ext_a=frozenset(a), ext_b=frozenset(b),
@@ -110,8 +107,8 @@ def check_reduction(g, pair, state, additions):
         assert add.vertex not in state.remaining
     # the remainder is bipartite and triangle-free
     sub, _ = induced_subgraph(g, state.remaining)
-    res = bipartition_or_odd_cycle(sub)
-    assert not (res and isinstance(res[0], int))
+    color, odd = two_coloring(sub)
+    assert odd == [] and all(color[u] != color[v] for u, v in sub.edges())
     assert list_triangles(sub) == []
     assert state.remaining | state.ext_a | state.ext_b == set(range(g.n))
 

@@ -16,7 +16,9 @@ from packfour.generators import (
     prism,
     random_cubic,
 )
+from packfour import pipeline
 from packfour.graph import build_graph
+from packfour.odd_cycle import ReductionState
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
 from packfour.pipeline import color_claw_free_cubic
@@ -75,6 +77,28 @@ def test_force_surfaces_stuck_instead_of_lying():
     with pytest.raises(StuckOddCycle) as e:
         color_claw_free_cubic(petersen(), force=True)
     assert e.value.claw is not None
+
+
+def test_non_bipartite_remainder_raises_before_any_certificate(monkeypatch):
+    # a reducer that stops early leaves the prism's triangle 3-4-5 behind
+    def stop_early(g, pair):
+        state = ReductionState(base_a=pair.a, base_b=pair.b, ext_a=frozenset({0}),
+                               ext_b=frozenset(), remaining=frozenset({1, 2, 3, 4, 5}),
+                               additions=())
+        return state, []
+
+    written = []
+    write_certificate = pipeline.write_certificate
+
+    def spy(*args):
+        written.append(args)
+        return write_certificate(*args)
+
+    monkeypatch.setattr(pipeline, "reduce_odd_cycles", stop_early)
+    monkeypatch.setattr(pipeline, "write_certificate", spy)
+    with pytest.raises(RuntimeError, match=r"odd cycle \(3, 4, 5\)"):
+        color_claw_free_cubic(prism())
+    assert written == []
 
 
 def test_force_can_succeed_off_contract():

@@ -17,21 +17,18 @@ from packfour.generators import (
 )
 from packfour.graph import build_graph, components, triangle_membership_counts
 from packfour.triangle_break import (
+    HEAVY,
+    LIGHT,
     AppliedMove,
     Move,
     PackingPair,
-    Weights,
+    _Search,
     break_triangles,
-    check_packing_pair,
     enumerate_improving_moves,
-    recompute_pair,
-    surviving_triangles,
-    vertex_weight,
 )
 
 import oracles
-
-W = Weights()
+from oracles import check_packing_pair, recompute_pair, surviving_triangles
 
 
 def k4_component_vertices(g) -> set[int]:
@@ -51,28 +48,11 @@ def essential_violations(g, a, b):
             if not (viol.condition == 3 and set(viol.vertices) <= k4verts)]
 
 
-def test_weights_validation():
-    assert (W.heavy, W.light) == (2, 1)
-    Weights(7, 3)
-    with pytest.raises(ValueError):
-        Weights(1, 1)
-    with pytest.raises(ValueError):
-        Weights(2, 0)
-    with pytest.raises(ValueError):
-        Weights(1, 2)
-
-
 def test_vertex_weight():
-    g = k4()
-    counts = triangle_membership_counts(g)
-    assert [vertex_weight(g, W, counts, v) for v in range(4)] == [2, 2, 2, 2]
-    g = prism()
-    counts = triangle_membership_counts(g)
-    assert [vertex_weight(g, W, counts, v) for v in range(6)] == [1] * 6
-    assert vertex_weight(g, Weights(7, 3), counts, 0) == 3
-    g = petersen()
-    counts = triangle_membership_counts(g)
-    assert vertex_weight(g, W, counts, 0) == 0
+    assert (HEAVY, LIGHT) == (2, 1)
+    assert _Search(k4()).wvec == [2, 2, 2, 2]
+    assert _Search(prism()).wvec == [1] * 6
+    assert _Search(petersen()).wvec == [0] * 10
 
 
 def test_check_packing_pair():
@@ -101,12 +81,12 @@ def test_check_packing_pair():
 
 def test_surviving_triangles():
     g = prism()
-    empty = recompute_pair(g, W, set(), set())
+    empty = recompute_pair(g, set(), set())
     assert surviving_triangles(g, empty) == [(0, 1, 2), (3, 4, 5)]
     assert empty.surviving == 2 and empty.weight == 0
-    half = recompute_pair(g, W, {0}, set())
+    half = recompute_pair(g, {0}, set())
     assert surviving_triangles(g, half) == [(3, 4, 5)]
-    done = recompute_pair(g, W, {3}, {0})
+    done = recompute_pair(g, {3}, {0})
     assert surviving_triangles(g, done) == []
     assert done.weight == 2 and done.surviving == 0
     assert done.marked == {0, 3}
@@ -126,18 +106,18 @@ def test_move_sort_key_order():
 
 def test_enumerate_requires_surviving_triangle():
     g = prism()
-    pair = recompute_pair(g, W, {0}, set())
+    pair = recompute_pair(g, {0}, set())
     with pytest.raises(ValueError):
-        next(enumerate_improving_moves(g, W, pair, (0, 1, 2)))
+        next(enumerate_improving_moves(g, pair, (0, 1, 2)))
 
 
 def test_enumerate_first_moves_frozen():
     g = prism()
-    empty = recompute_pair(g, W, set(), set())
-    first = next(enumerate_improving_moves(g, W, empty, (0, 1, 2)))
+    empty = recompute_pair(g, set(), set())
+    first = next(enumerate_improving_moves(g, empty, (0, 1, 2)))
     assert first == Move(add_a=(0,))
-    half = recompute_pair(g, W, {0}, set())
-    first = next(enumerate_improving_moves(g, W, half, (3, 4, 5)))
+    half = recompute_pair(g, {0}, set())
+    first = next(enumerate_improving_moves(g, half, (3, 4, 5)))
     # single additions near the surviving triangle are all blocked by vertex 0,
     # so the canonical move swaps 0 to side b while claiming 3 for side a
     assert first == Move(add_a=(3,), add_b=(0,), remove_a=0)
@@ -153,7 +133,7 @@ def mid_run(g):
         m = am.move
         a = (a - {m.remove_a}) | set(m.add_a)
         b = (b - {m.remove_b}) | set(m.add_b)
-    return a, b, surviving_triangles(g, recompute_pair(g, W, a, b))[0]
+    return a, b, surviving_triangles(g, recompute_pair(g, a, b))[0]
 
 
 def reference_moves(g, pair, t):
@@ -179,7 +159,7 @@ def reference_moves(g, pair, t):
                         na |= set(add_a)
                         nb |= set(add_b)
                         if (essential_violations(g, na, nb) == []
-                                and recompute_pair(g, W, na, nb).weight > pair.weight):
+                                and recompute_pair(g, na, nb).weight > pair.weight):
                             out.append(Move(add_a, add_b, ra, rb))
     return sorted(out, key=Move.sort_key)
 
@@ -196,8 +176,8 @@ def test_enumerate_stream_sound(setup):
     g = make()
     if t is None:
         a, b, t = mid_run(g)
-    pair = recompute_pair(g, W, a, b)
-    moves = list(enumerate_improving_moves(g, W, pair, t))
+    pair = recompute_pair(g, a, b)
+    moves = list(enumerate_improving_moves(g, pair, t))
     assert moves
     # complete: exactly the valid strictly improving moves, in canonical order
     assert moves == reference_moves(g, pair, t)
@@ -219,7 +199,7 @@ def test_enumerate_stream_sound(setup):
         na = (set(a) - {m.remove_a}) | set(m.add_a)
         nb = (set(b) - {m.remove_b}) | set(m.add_b)
         assert essential_violations(g, na, nb) == []
-        result = recompute_pair(g, W, na, nb)
+        result = recompute_pair(g, na, nb)
         assert (result.weight > pair.weight
                 or (result.weight == pair.weight and result.surviving < pair.surviving))
 
@@ -284,7 +264,7 @@ def test_break_k4_components_placed_pairwise():
     assert essential_violations(g, pair.a, pair.b) == []
 
 
-def replay_and_check(g, trace, final_pair, weights=W):
+def replay_and_check(g, trace, final_pair):
     a: set[int] = set()
     b: set[int] = set()
     prev_w = 0
@@ -305,7 +285,7 @@ def replay_and_check(g, trace, final_pair, weights=W):
             b.add(v)
         # conditions (1)(2)(3) hold after every applied move, K4 cores aside
         assert essential_violations(g, a, b) == []
-        state = recompute_pair(g, weights, a, b)
+        state = recompute_pair(g, a, b)
         assert state.weight == am.weight_after
         assert state.surviving == am.surviving_after
         assert am.weight_after > am.weight_before  # strict ascent
@@ -319,16 +299,9 @@ def test_break_invariants_random_cubic(n, seed):
     g = random_cubic(n, seed=seed)
     pair, trace = break_triangles(g)
     assert pair.surviving == 0
-    here = recompute_pair(g, W, pair.a, pair.b)
+    here = recompute_pair(g, pair.a, pair.b)
     assert (here.weight, here.surviving) == (pair.weight, pair.surviving)
     replay_and_check(g, trace, pair)
-
-
-def test_break_custom_weights():
-    weights = Weights(3, 1)
-    pair, trace = break_triangles(diamond_necklace(3), weights)
-    assert pair.surviving == 0
-    replay_and_check(diamond_necklace(3), trace, pair, weights)
 
 
 def all_valid_pairs(g, fixed_a=frozenset(), fixed_b=frozenset()):
@@ -353,12 +326,12 @@ def test_every_valid_pair_with_survivors_admits_a_move(make, fixed):
     g = make()
     seen = 0
     for a, b in all_valid_pairs(g, *fixed):
-        pair = recompute_pair(g, W, a, b)
+        pair = recompute_pair(g, a, b)
         if pair.surviving == 0:
             continue
         seen += 1
         assert any(
-            next(enumerate_improving_moves(g, W, pair, t), None) is not None
+            next(enumerate_improving_moves(g, pair, t), None) is not None
             for t in surviving_triangles(g, pair)
         ), f"no improving move from a={sorted(a)} b={sorted(b)}"
     assert seen > 0
@@ -373,7 +346,7 @@ def test_applied_move_record_shape():
 
 
 def test_pair_is_frozen():
-    pair = recompute_pair(prism(), W, {3}, {0})
+    pair = recompute_pair(prism(), {3}, {0})
     assert isinstance(pair, PackingPair)
     with pytest.raises(AttributeError):
         pair.weight = 99  # type: ignore[misc]
