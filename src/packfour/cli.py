@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: color, verify, oracle, gen, experiment.  Graph input is graph6
-(one graph per line) or an edge list ("n m" header); the format is sniffed
-from the first line unless --format says otherwise.  All runs are
+(one graph per line) or an edge list ("n m" header).  color, verify and gen
+inflate sniff the format from the first line (--format pins it for color and
+verify); oracle and experiment problem2 read graph6 only.  All runs are
 deterministic for fixed inputs, flags and seeds; batch output order always
 matches input order, --jobs or not.
 
 Exit codes for color: 0 all graphs colored, 2 parse error, 3 hypothesis
 violation (non-cubic or clawed without --force), 4 stuck.  verify: 0 valid,
 1 invalid or mismatched.  oracle: 0 once the command line itself parses.
+Any command whose stdout reader closes early exits 1 without a traceback.
 """
 
 from __future__ import annotations
@@ -360,7 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); send what is still buffered
+        # to devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -12,10 +12,13 @@ On the vertices of the other components it runs one layer sweep, a BFS from
 each of them at once on bitsets, plus one ordinary BFS from the witness
 source, so the remainder need not be claw-free or of maximum degree 2.
 
-Every absorption deletes a vertex from the remainder, so the loop ends after
-at most n steps with a bipartite remainder, or raises StuckOddCycle carrying
-the offending cycle and a claw search result (non-claw-free inputs are the
-expected cause of a stuck run).
+The loop works on one live map from side to vertex set and one remainder set,
+updated in place by each absorption.  Every absorption deletes a vertex from
+the remainder, so the loop ends after at most n steps with a bipartite
+remainder, or raises StuckOddCycle carrying the offending cycle and a claw
+search result (non-claw-free inputs are the expected cause of a stuck run).
+Only there, and at the normal return, is the state frozen into a
+ReductionState; the caller already holds the breaker's pair it started from.
 """
 
 from __future__ import annotations
@@ -39,60 +42,47 @@ class Addition:
 
 @dataclass(frozen=True)
 class ReductionState:
-    base_a: frozenset[int]
-    base_b: frozenset[int]
+    """What the reducer hands on: the grown sides, the remainder, the log."""
     ext_a: frozenset[int]
     ext_b: frozenset[int]
     remaining: frozenset[int]
     additions: tuple[Addition, ...]
 
 
-def addable_side(g: Graph, state: ReductionState, v: int) -> str | None:
+def addable_side(g: Graph, ext_a, ext_b, v: int) -> str | None:
     """Which side v may join: "A" if distance >= 3 from ext_a, else "B", else None."""
-    if v not in state.remaining:
-        raise ValueError(f"vertex {v} is not in the remainder")
+    if v in ext_a or v in ext_b:
+        raise ValueError(f"vertex {v} is already on a side")
     ball = vertices_within(g, [v], 2)
-    if ball.isdisjoint(state.ext_a):
+    if ball.isdisjoint(ext_a):
         return "A"
-    if ball.isdisjoint(state.ext_b):
+    if ball.isdisjoint(ext_b):
         return "B"
     return None
 
 
-def _snapshot(pair: PackingPair, ext_a, ext_b, remaining, additions) -> ReductionState:
-    return ReductionState(
-        base_a=pair.a,
-        base_b=pair.b,
-        ext_a=frozenset(ext_a),
-        ext_b=frozenset(ext_b),
-        remaining=frozenset(remaining),
-        additions=tuple(additions),
-    )
-
-
 def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list[Addition]]:
     """Absorb one vertex per shortest odd cycle until the remainder is bipartite."""
-    ext_a = set(pair.a)
-    ext_b = set(pair.b)
-    remaining = set(range(g.n)) - ext_a - ext_b
+    ext = {"A": set(pair.a), "B": set(pair.b)}
+    remaining = set(range(g.n)) - ext["A"] - ext["B"]
     additions: list[Addition] = []
+
+    def frozen() -> ReductionState:
+        return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]), frozenset(remaining),
+                              tuple(additions))
+
     while True:
         sub, mapping = induced_subgraph(g, remaining)
         witness = shortest_odd_cycle(sub)
         if witness is None:
-            return _snapshot(pair, ext_a, ext_b, remaining, additions), additions
+            return frozen(), additions
         cycle: OddCycle = tuple(mapping[i] for i in witness)
-        state = _snapshot(pair, ext_a, ext_b, remaining, additions)
         for v in cycle:
-            side = addable_side(g, state, v)
-            if side is None:
-                continue
-            if side == "A":
-                ext_a.add(v)
-            else:
-                ext_b.add(v)
-            remaining.discard(v)
-            additions.append(Addition(v, side, len(cycle)))
-            break
+            side = addable_side(g, ext["A"], ext["B"], v)
+            if side is not None:
+                ext[side].add(v)
+                remaining.discard(v)
+                additions.append(Addition(v, side, len(cycle)))
+                break
         else:
-            raise StuckOddCycle(state, cycle, find_claw(g))
+            raise StuckOddCycle(frozen(), cycle, find_claw(g))

@@ -14,15 +14,20 @@ Every step is a local strict ascent: its additions lie within distance 3 of
 the first surviving triangle and it strictly increases the integer weight,
 which never exceeds 2n, so a run takes at most 2n steps.
 
-Moves around a triangle are generated lazily in canonical order (Move.sort_key:
-additions, then removals) and each candidate is checked once, cheapest test
-first: weight gain, then membership, then the 2-packing test against radius-2
-balls computed once per graph, then condition (3).  A step takes the first.
+The triangles are listed once per graph, into one index from each vertex to
+the triangles through it; vertex weights, the candidate filter, condition (3)
+and the K4 placement below all read that index.  Moves around a triangle are
+generated lazily in canonical order (Move.sort_key: additions, then removals)
+and each candidate is checked once, cheapest test first: weight gain, then
+membership, then the 2-packing test against radius-2 balls computed once per
+graph, then condition (3).  A step takes the first.
 
 Complete-graph components on four vertices cannot satisfy (3) with two chosen
 vertices (any two of their vertices share a triangle), so each K4 component is
 handled up front by placing its two smallest vertices one into a and one into
-b; the component's remainder is a single edge, which is triangle-free.
+b; the component's remainder is a single edge, which is triangle-free.  In a
+cubic graph a vertex lies on three triangles exactly when its closed
+neighbourhood is a K4 component, so the index finds these components.
 """
 
 from __future__ import annotations
@@ -32,15 +37,7 @@ from itertools import chain
 from typing import Iterator
 
 from .errors import Stuck
-from .graph import (
-    Graph,
-    Triangle,
-    components,
-    list_triangles,
-    require_cubic,
-    triangle_membership_counts,
-    vertices_within,
-)
+from .graph import Graph, Triangle, list_triangles, require_cubic, vertices_within
 
 SIDE_A = 0
 SIDE_B = 1
@@ -107,18 +104,17 @@ def _choices(items: list, compatible) -> Iterator[tuple]:
 
 
 class _Search:
-    """Precomputed triangle structure and radius-2 balls shared by every
+    """Precomputed triangle index and radius-2 balls shared by every
     operation on one graph."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.triangles: list[Triangle] = list_triangles(g)
-        self.counts = triangle_membership_counts(g)
-        self.wvec = [HEAVY if c >= 2 else LIGHT if c else 0 for c in self.counts]
         self.tri_by_vertex: list[list[int]] = [[] for _ in range(g.n)]
         for i, t in enumerate(self.triangles):
             for v in t:
                 self.tri_by_vertex[v].append(i)
+        self.wvec = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
         self.ball2 = [vertices_within(g, [v], 2) for v in range(g.n)]
 
     def pair_from_sets(self, a, b) -> PackingPair:
@@ -142,7 +138,7 @@ class _Search:
         w = self.wvec
         sides = (pair.a, pair.b)
         marked = pair.marked
-        adds = [(v, side) for v in sorted(vertices_within(self.g, t, 3)) if self.counts[v]
+        adds = [(v, side) for v in sorted(vertices_within(self.g, t, 3)) if self.tri_by_vertex[v]
                 for side in (SIDE_A, SIDE_B)]
         for combo in _choices(adds, lambda x, y: x[0] != y[0]):
             if any(v in sides[side] for v, side in combo):
@@ -187,15 +183,6 @@ def enumerate_improving_moves(g: Graph, pair: PackingPair, t: Triangle) -> Itera
     yield from _Search(g).improving_moves(pair, t)
 
 
-def _k4_components(g: Graph) -> list[list[int]]:
-    out = []
-    for comp in components(g):
-        if len(comp) == 4 and all(g.has_edge(u, v)
-                                  for i, u in enumerate(comp) for v in comp[i + 1:]):
-            out.append(comp)
-    return out
-
-
 def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
     """Run the search to a pair with no surviving triangle; return it with its trace.
 
@@ -215,8 +202,9 @@ def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
         trace.append(AppliedMove(move, pair.weight, after.weight, after.surviving))
         pair = after
 
-    for comp in _k4_components(g):
-        step(Move(add_a=(comp[0],), add_b=(comp[1],)))
+    for v in range(g.n):
+        if len(search.tri_by_vertex[v]) == 3 and v < g.adj[v][0]:
+            step(Move(add_a=(v,), add_b=(g.adj[v][0],)))  # smallest two of a K4 component
     while pair.surviving > 0:
         marked = pair.marked
         t = next(t for t in search.triangles if not (set(t) & marked))

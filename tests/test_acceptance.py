@@ -25,7 +25,7 @@ from packfour.generators import (
     prism,
     random_cubic,
 )
-from packfour.graph import build_graph, find_claw, induced_subgraph, is_cubic, list_triangles
+from packfour.graph import find_claw, induced_subgraph, is_cubic, list_triangles
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
 from packfour.pipeline import color_claw_free_cubic

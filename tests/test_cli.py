@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import packfour
 from packfour.cli import main
 from packfour.formats import parse_graph6, write_graph6
-from packfour.generators import cycle, k4, petersen, prism
-from packfour.packing import SSpec, verify_spacking
+from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubic
+from packfour.packing import SSpec
 from packfour.oracle import exists_spacking
 
 
@@ -109,6 +114,21 @@ def test_color_dot_output(tmp_path, capsys):
     single = write(tmp_path, "one.g6", write_graph6(k4()) + "\n")
     run(capsys, "color", single, "--dot", dot)
     assert (tmp_path / "view.dot").exists()
+
+
+def test_color_reader_closing_early_exits_quietly(tmp_path):
+    # far more certificates than a pipe buffer holds, so writing outlives the reader
+    lines = [write_graph6(inflate(random_cubic(20, seed))) for seed in range(60)]
+    inp = write(tmp_path, "many.g6", "\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(packfour.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "packfour.cli", "color", inp], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(proc.stdout.readline())["verified"] is True
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 # ----------------------------------------------------------------- verify

@@ -27,7 +27,7 @@ from packfour.formats import (
 )
 from packfour.generators import cycle, k4, petersen, prism
 from packfour.graph import build_graph
-from packfour.packing import verify_spacking, SSpec
+from packfour.packing import verify_spacking
 
 import oracles
 from oracles import graphs

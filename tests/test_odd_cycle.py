@@ -3,12 +3,14 @@ from __future__ import annotations
 import pytest
 
 from packfour.errors import StuckOddCycle
-from packfour.generators import petersen, prism, problem1_family, random_cubic
-from packfour.graph import build_graph, induced_subgraph, list_triangles, two_coloring
-from packfour.odd_cycle import Addition, ReductionState, addable_side, reduce_odd_cycles
+from packfour.generators import inflate, k4, petersen, prism, problem1_family, random_cubic
+from packfour.graph import build_graph, find_claw, induced_subgraph, list_triangles, two_coloring
+from packfour.odd_cycle import Addition, addable_side, reduce_odd_cycles
+from packfour.packing import SSpec, verify_spacking
+from packfour.pipeline import color_claw_free_cubic
 from packfour.triangle_break import break_triangles
 
-from oracles import is_k_packing, recompute_pair
+from oracles import is_k_packing
 
 
 def pentagonal_prism():
@@ -19,28 +21,15 @@ def pentagonal_prism():
                             (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)])
 
 
-def state_for(g, a, b):
-    pair = recompute_pair(g, a, b)
-    return ReductionState(
-        base_a=pair.a, base_b=pair.b,
-        ext_a=frozenset(a), ext_b=frozenset(b),
-        remaining=frozenset(range(g.n)) - pair.marked,
-        additions=(),
-    )
-
-
 def test_addable_side_prefers_a():
     g = pentagonal_prism()
-    state = state_for(g, set(), set())
-    assert addable_side(g, state, 0) == "A"
-    state = state_for(g, {0}, set())
+    assert addable_side(g, set(), set(), 0) == "A"
     # 5 is adjacent to 0, so side a is blocked but empty side b is free
-    assert addable_side(g, state, 5) == "B"
-    assert addable_side(g, state, 7) == "A"
-    state = state_for(g, {0}, {5})
-    assert addable_side(g, state, 6) is None
+    assert addable_side(g, {0}, set(), 5) == "B"
+    assert addable_side(g, {0}, set(), 7) == "A"
+    assert addable_side(g, {0}, {5}, 6) is None
     with pytest.raises(ValueError):
-        addable_side(g, state, 0)
+        addable_side(g, {0}, {5}, 0)
 
 
 def test_addition_record():
@@ -56,7 +45,6 @@ def test_reduce_pentagonal_prism_frozen():
         (0, "A", 5), (5, "B", 5),
     ]
     assert sorted(state.ext_a) == [0] and sorted(state.ext_b) == [5]
-    assert state.base_a == frozenset() and state.base_b == frozenset()
     assert state.remaining == frozenset(range(10)) - {0, 5}
     assert tuple(additions) == state.additions
 
@@ -70,6 +58,22 @@ def test_reduce_problem1_gadget_frozen():
         (68, "B", 13), (35, "A", 15), (115, "B", 17), (11, "A", 17),
     ]
     check_reduction(g, pair, state, additions)
+
+
+def test_reduce_claw_free_frozen():
+    # inflated K4 with edge (4, 7) replaced by one diamond 12-14-15-13: claw-free,
+    # yet the breaker leaves a 9-cycle that the reducer must open
+    g = inflate(k4())
+    edges = [e for e in g.edges() if e != (4, 7)]
+    edges += [(4, 12), (12, 14), (12, 15), (14, 15), (14, 13), (15, 13), (13, 7)]
+    g = build_graph(16, edges)
+    assert g.n == 16 and find_claw(g) is None
+    pair, _ = break_triangles(g)
+    state, additions = reduce_odd_cycles(g, pair)
+    assert [(a.vertex, a.side, a.cycle_length) for a in additions] == [(10, "B", 9)]
+    check_reduction(g, pair, state, additions)
+    coloring, _ = color_claw_free_cubic(g)
+    assert verify_spacking(g, SSpec((1, 1, 2, 2)), coloring) is None
 
 
 def test_reduce_noop_when_remainder_bipartite():
@@ -91,7 +95,7 @@ def test_reduce_petersen_sticks_with_claw_witness():
     # the stuck state is a consistent snapshot: every cycle vertex is blocked
     st = e.value.state
     for v in e.value.cycle:
-        assert addable_side(g, st, v) is None
+        assert addable_side(g, st.ext_a, st.ext_b, v) is None
 
 
 def check_reduction(g, pair, state, additions):

@@ -17,7 +17,6 @@ from packfour.generators import (
     random_cubic,
 )
 from packfour import pipeline
-from packfour.graph import build_graph
 from packfour.odd_cycle import ReductionState
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
@@ -82,9 +81,8 @@ def test_force_surfaces_stuck_instead_of_lying():
 def test_non_bipartite_remainder_raises_before_any_certificate(monkeypatch):
     # a reducer that stops early leaves the prism's triangle 3-4-5 behind
     def stop_early(g, pair):
-        state = ReductionState(base_a=pair.a, base_b=pair.b, ext_a=frozenset({0}),
-                               ext_b=frozenset(), remaining=frozenset({1, 2, 3, 4, 5}),
-                               additions=())
+        state = ReductionState(ext_a=frozenset({0}), ext_b=frozenset(),
+                               remaining=frozenset({1, 2, 3, 4, 5}), additions=())
         return state, []
 
     written = []
