@@ -5,7 +5,8 @@ Subcommands: color, verify, oracle, gen, experiment.  Graph input is graph6
 inflate sniff the format from the first line (--format pins it for color and
 verify); oracle and experiment problem2 read graph6 only.  All runs are
 deterministic for fixed inputs, flags and seeds; batch output order always
-matches input order, --jobs or not.
+matches input order, --jobs or not.  color writes each record as soon as it
+and every earlier one are done.
 
 Exit codes for color: 0 all graphs colored, 2 parse error, 3 hypothesis
 violation (non-cubic or clawed without --force), 4 stuck.  verify: 0 valid,
@@ -128,17 +129,19 @@ def cmd_color(args) -> int:
     exit_code = 0
     try:
         for i, (status, payload) in enumerate(results):
+            # each record goes out as soon as its graph is done
             if status == "ok":
-                print(payload, file=out)
+                print(payload, file=out, flush=True)
                 if args.dot:
-                    _write_dot_file(args.dot, i, len(results), payload)
+                    _write_dot_file(args.dot, i, len(work), payload)
             else:
                 print(json.dumps({"index": i, "error": status, "detail": payload},
-                                 sort_keys=True), file=out)
+                                 sort_keys=True), file=out, flush=True)
                 print(f"graph {i}: {status}: {payload}", file=sys.stderr)
                 if exit_code == 0:
                     exit_code = _EXIT_BY_STATUS[status]
     finally:
+        results.close()
         if out is not sys.stdout:
             out.close()
     return exit_code

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterator
 
 from .graph import Graph, bfs_distances, find_claw, is_cubic
 from .formats import parse_graph6, write_graph6
@@ -121,15 +122,22 @@ def decide_line(line: str, s: SSpec, vertex_cap: int) -> dict:
     return record
 
 
-def ordered_map(fn, items: list, jobs: int) -> list:
-    """[fn(x) for x in items], spread over `jobs` worker processes when jobs > 1
-    and there are two or more items; results keep input order either way."""
+def ordered_map(fn, items: list, jobs: int) -> Iterator:
+    """fn(x) for x in items, lazily and in input order, spread over `jobs`
+    worker processes when jobs > 1 and there are two or more items.  A
+    consumer that stops early (or closes the iterator) cancels the work not
+    yet started."""
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+            try:
+                yield from pool.map(fn, items)
+            finally:
+                pool.shutdown(cancel_futures=True)
+        return
+    for x in items:
+        yield fn(x)
 
 
 def batch_decide(lines, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP,
@@ -138,7 +146,8 @@ def batch_decide(lines, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP,
 
     Returns (records, summary).  Records keep input order even with jobs > 1.
     """
-    records = ordered_map(partial(decide_line, s=s, vertex_cap=vertex_cap), list(lines), jobs)
+    records = list(ordered_map(partial(decide_line, s=s, vertex_cap=vertex_cap),
+                               list(lines), jobs))
     for i, rec in enumerate(records):
         rec["index"] = i
     summary = {

@@ -267,6 +267,31 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return build_graph(n, edges)
 
 
+def diamond_strings(base_n: int, base_seed: int, share: float, seed: int) -> Graph:
+    """A large claw-free cubic graph: the triangle inflation of
+    random_cubic(base_n, base_seed) with each inter-triangle edge, with
+    probability `share` under random.Random(seed), replaced by a string of
+    1-3 diamonds joined tip to tip."""
+    from packfour.generators import inflate, random_cubic
+
+    g = inflate(random_cubic(base_n, seed=base_seed))
+    rng = random.Random(seed)
+    n = g.n
+    edges: list[tuple[int, int]] = []
+    for u, v in g.edges():
+        if u // 3 == v // 3 or rng.random() >= share:
+            edges.append((u, v))
+            continue
+        prev = u
+        for _ in range(rng.randint(1, 3)):
+            tip, far, hub, hub2 = n, n + 1, n + 2, n + 3
+            n += 4
+            edges += [(prev, tip), (tip, hub), (tip, hub2), (far, hub), (far, hub2), (hub, hub2)]
+            prev = far
+        edges.append((prev, v))
+    return build_graph(n, edges)
+
+
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 10) -> Graph:
     n = draw(st.integers(min_n, max_n))

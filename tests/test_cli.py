@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import packfour
+from packfour import cli
 from packfour.cli import main
 from packfour.formats import parse_graph6, write_graph6
 from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubic
@@ -114,6 +115,27 @@ def test_color_dot_output(tmp_path, capsys):
     single = write(tmp_path, "one.g6", write_graph6(k4()) + "\n")
     run(capsys, "color", single, "--dot", dot)
     assert (tmp_path / "view.dot").exists()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_color_streams_each_certificate(tmp_path, capsys, monkeypatch, to_file):
+    first, second = write_graph6(k4()), write_graph6(prism())
+    inp = write(tmp_path, "in.g6", f"{first}\n{second}\n")
+    out_path = tmp_path / "certs.jsonl"
+    color_one = cli._color_one
+    checked = []
+
+    def color_after_first_is_out(line, force):
+        if line == second:
+            # the first certificate is already written when the second graph starts
+            text = out_path.read_text() if to_file else capsys.readouterr().out
+            assert json.loads(text)["n"] == 4
+            checked.append(line)
+        return color_one(line, force)
+
+    monkeypatch.setattr(cli, "_color_one", color_after_first_is_out)
+    assert main(["color", inp] + (["--out", str(out_path)] if to_file else [])) == 0
+    assert checked == [second]
 
 
 def test_color_reader_closing_early_exits_quietly(tmp_path):

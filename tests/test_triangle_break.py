@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
-from packfour.errors import NotCubic
+from packfour import triangle_break
+from packfour.errors import NotCubic, Stuck
 from packfour.generators import (
     cycle,
     diamond_necklace,
@@ -127,13 +130,19 @@ def mid_run(g):
     """The sides a, b halfway through break_triangles(g), and their first
     surviving triangle."""
     _, trace = break_triangles(g)
+    a, b = sides_after(trace[:len(trace) // 2])
+    return a, b, surviving_triangles(g, recompute_pair(g, a, b))[0]
+
+
+def sides_after(trace):
+    """The sides a, b after replaying the trace's moves from empty sides."""
     a: set[int] = set()
     b: set[int] = set()
-    for am in trace[:len(trace) // 2]:
+    for am in trace:
         m = am.move
         a = (a - {m.remove_a}) | set(m.add_a)
         b = (b - {m.remove_b}) | set(m.add_b)
-    return a, b, surviving_triangles(g, recompute_pair(g, a, b))[0]
+    return a, b
 
 
 def reference_moves(g, pair, t):
@@ -262,6 +271,63 @@ def test_break_k4_components_placed_pairwise():
     assert pair.b & {0, 1, 2, 3} == {1}
     assert pair.surviving == 0
     assert essential_violations(g, pair.a, pair.b) == []
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_stuck_carries_the_pair_and_first_survivor(monkeypatch, k):
+    g = inflate(random_cubic(10, seed=2))  # no K4 component: every step searches
+    _, trace = break_triangles(g)
+    assert len(trace) > k
+    expected = recompute_pair(g, *sides_after(trace[:k]))
+    improving_moves = _Search.improving_moves
+    searches = []
+
+    def stall_after_k_steps(self, t):
+        searches.append(t)
+        return improving_moves(self, t) if len(searches) <= k else iter(())
+
+    monkeypatch.setattr(_Search, "improving_moves", stall_after_k_steps)
+    with pytest.raises(Stuck) as e:
+        break_triangles(g)
+    assert e.value.pair == expected  # sides, weight and survivor count
+    assert e.value.triangle == surviving_triangles(g, expected)[0]
+    assert searches[-1] == e.value.triangle
+
+
+# sha256 of the trace records of break_triangles(diamond_strings(base_n, 1, 0.3, 7)),
+# taken from the breaker that rescanned every triangle on every step
+DIAMOND_STRING_TRACES = {
+    160: (996, 418, "30ffaea98b941dcc320bc89825c34c0de5c93ddf70e344fdc3b39ca6586d2ea2"),
+    1600: (10720, 4560, "6f2a52eb8f31f457891c87b2c22d78eb2c97a2eec2c31e2e2cb6d49dc71cf78a"),
+}
+
+
+@pytest.mark.parametrize("base_n", sorted(DIAMOND_STRING_TRACES))
+def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
+    # counts, not timings: condition (3) checks per step stay below a constant
+    # from n ~ 10^3 to n ~ 10^4, and the pair is built whole only at the end
+    g = oracles.diamond_strings(base_n, 1, 0.3, 7)
+    admits = _Search._admits
+    counts = {"checks": 0, "pairs": 0}
+
+    def counted_admits(self, *args):
+        counts["checks"] += 1
+        return admits(self, *args)
+
+    class CountedPair(PackingPair):
+        def __init__(self, *args, **kwargs):
+            counts["pairs"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(_Search, "_admits", counted_admits)
+    monkeypatch.setattr(triangle_break, "PackingPair", CountedPair)
+    pair, trace = break_triangles(g)
+    n, steps, digest = DIAMOND_STRING_TRACES[base_n]
+    assert (g.n, len(trace), pair.surviving) == (n, steps, 0)
+    assert counts["checks"] <= 6 * steps
+    assert counts["pairs"] == 1
+    records = json.dumps([am.to_record() for am in trace], sort_keys=True)
+    assert hashlib.sha256(records.encode()).hexdigest() == digest
 
 
 def replay_and_check(g, trace, final_pair):
