@@ -150,11 +150,31 @@ def all_simple_cycles(g: Graph, max_len: int | None = None) -> set[tuple[int, ..
 
 
 def shortest_odd_cycle_length(g: Graph) -> int | None:
-    best = None
-    for cyc in all_simple_cycles(g):
-        if len(cyc) % 2 == 1 and (best is None or len(cyc) < best):
-            best = len(cyc)
-    return best
+    """By enumeration under a length bound raised one odd step at a time, so
+    that a dense graph stops at its triangles instead of listing every cycle."""
+    for bound in range(3, g.n + 1, 2):
+        odd = [len(c) for c in all_simple_cycles(g, max_len=bound) if len(c) % 2 == 1]
+        if odd:
+            return min(odd)
+    return None
+
+
+def odd_cycle_vertices(g: Graph) -> list[int]:
+    """The vertices whose component holds an odd cycle, ascending; each
+    component is searched on its own by shortest_odd_cycle_length."""
+    d = floyd_warshall(g)
+    out: list[int] = []
+    seen: set[int] = set()
+    for root in range(g.n):
+        if root in seen:
+            continue
+        comp = [u for u in range(g.n) if d[root][u] < INF]
+        seen.update(comp)
+        index = {u: i for i, u in enumerate(comp)}
+        sub = build_graph(len(comp), [(index[u], index[v]) for u, v in g.edges() if u in index])
+        if shortest_odd_cycle_length(sub) is not None:
+            out.extend(comp)
+    return sorted(out)
 
 
 def reference_shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:

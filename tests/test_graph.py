@@ -197,13 +197,11 @@ def test_bipartition_frozen():
 def test_two_coloring_sound(g):
     color, odd = two_coloring(g)
     d = oracles.floyd_warshall(g)
-    odd_cycles = [c for c in oracles.all_simple_cycles(g) if len(c) % 2 == 1]
     for v in g.vertices():
         # BFS layer parity from the smallest vertex of v's component
         root = min(u for u in g.vertices() if d[v][u] < INF)
         assert color[v] == d[root][v] % 2
-    assert sorted(odd) == [v for v in g.vertices()
-                           if any(d[v][c[0]] < INF for c in odd_cycles)]
+    assert sorted(odd) == oracles.odd_cycle_vertices(g)
     if not odd:
         assert all(color[u] != color[v] for u, v in g.edges())
 
