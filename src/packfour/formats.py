@@ -5,12 +5,24 @@ header (one byte for n <= 62, '~' plus three bytes for 63 <= n <= 258047),
 then the upper triangle of the adjacency matrix in column-major order packed
 six bits per byte, zero-padded.  K4 is "C~"; the empty graph on 0 vertices
 is "?".
+
+The body is coded at C speed.  Its bytes 63..126 stand for 0..63 in the same
+order as the base64 alphabet, so one bytes.translate maps a body onto base64
+and back; base64 and a base-2 int then give the bit string.  Decoding walks
+the set bits with str.find, so the only Python loop runs per edge; bits past
+n(n-1)/2 are padding and ignored, whatever their value.  The adjacency lists
+are built straight from those bits, without build_graph: graph6 cannot
+express a self-loop, a duplicate edge or an endpoint outside 0..n-1, and the
+column-major bit order appends every neighbour in increasing order.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import re
 from itertools import chain
+from math import isqrt
 
 from .errors import (
     BadChar,
@@ -29,14 +41,20 @@ MAX_GRAPH6_N = 258047
 CLASS_NAMES = {1: "1a", 2: "1b", 3: "2a", 4: "2b"}
 SPEC_1122 = SSpec((1, 1, 2, 2))
 
+_G6_CHARS = bytes(range(63, 127))
+_BAD_G6 = re.compile("[^?-~]")
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_B64 = bytes.maketrans(_G6_CHARS, _B64_ALPHABET)
+_B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_CHARS)
+
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (no trailing newline, no ">>graph6<<" header)."""
     if len(line) == 0:
         raise LengthMismatch(1, 0)
-    for pos, ch in enumerate(line):
-        if not 63 <= ord(ch) <= 126:
-            raise BadChar(pos)
+    bad = _BAD_G6.search(line)
+    if bad:
+        raise BadChar(bad.start())
     data = line.encode("ascii")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -53,39 +71,45 @@ def parse_graph6(line: str) -> Graph:
     body = data[offset:]
     if len(body) != expected:
         raise LengthMismatch(expected, len(body))
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte = body[k // 6] - 63
-            if (byte >> (5 - k % 6)) & 1:
-                edges.append((u, v))
-            k += 1
-    return build_graph(n, edges)
+    b64 = body.translate(_G6_TO_B64)
+    raw = base64.b64decode(b64 + b"A" * (-len(b64) % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    m = 0
+    k = bits.find("1")
+    while 0 <= k < nbits:
+        v = (1 + isqrt(8 * k + 1)) // 2
+        u = k - v * (v - 1) // 2
+        adj[u].append(v)
+        adj[v].append(u)
+        m += 1
+        k = bits.find("1", k + 1)
+    return Graph(n=n, adj=tuple(map(tuple, adj)), m=m)
 
 
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 encoding (padding bits zero)."""
-    if g.n > MAX_GRAPH6_N:
-        raise TooLarge(g.n)
-    if g.n <= 62:
-        header = [g.n + 63]
+    n = g.n
+    if n > MAX_GRAPH6_N:
+        raise TooLarge(n)
+    if n <= 62:
+        header = bytes([n + 63])
     else:
-        header = [126, ((g.n >> 12) & 63) + 63, ((g.n >> 6) & 63) + 63, (g.n & 63) + 63]
-    bits = []
-    for v in range(1, g.n):
-        row = g.adj[v]
-        for u in range(v):
-            bits.append(1 if u in row else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i:i + 6]:
-            group = (group << 1) | b
-        body.append(group + 63)
-    return bytes(header + body).decode("ascii")
+        header = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    nchars = (n * (n - 1) // 2 + 5) // 6
+    groups = (nchars + 3) // 4
+    if groups == 0:
+        return header.decode("ascii")
+    bits = bytearray(b"0") * (24 * groups)
+    for v in range(1, n):
+        col = v * (v - 1) // 2
+        for u in g.adj[v]:
+            if u >= v:
+                break
+            bits[col + u] = 49  # ord("1")
+    raw = int(bits, 2).to_bytes(3 * groups, "big")
+    body = base64.b64encode(raw)[:nchars].translate(_B64_TO_G6)
+    return (header + body).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -261,6 +261,29 @@ def g6_encode_reference(g: Graph) -> str:
     return "".join(chr(b) for b in out)
 
 
+def g6_decode_reference(line: str) -> Graph:
+    """Bit-by-bit graph6 decoder through build_graph, for a well-formed line.
+
+    Padding bits past n(n-1)/2 are ignored, whatever their value."""
+    data = line.encode("ascii")
+    if data[0] == 126:
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    assert len(body) == (n * (n - 1) // 2 + 5) // 6
+    edges = []
+    k = 0
+    for v in range(1, n):
+        for u in range(v):
+            byte = body[k // 6] - 63
+            if (byte >> (5 - k % 6)) & 1:
+                edges.append((u, v))
+            k += 1
+    return build_graph(n, edges)
+
+
 def permute(g: Graph, perm: list[int]) -> Graph:
     """Relabel: vertex v becomes perm[v]."""
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

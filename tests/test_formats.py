@@ -65,6 +65,16 @@ def test_bad_char_position():
     # non-ASCII must not slip through as '?'
     with pytest.raises(BadChar):
         parse_graph6("Cé")
+    # a long line with the four-byte header; positions as the bit-by-bit
+    # decoder reported them
+    enc = write_graph6(oracles.random_graph(100, 0.1, seed=3))
+    assert enc.startswith("~?@c") and len(enc) == 829
+    for line, position in ((enc[:-1] + ">", 828), (enc + " ", 829),
+                           (enc[:400] + "é" + enc[401:], 400),
+                           (enc[:10] + chr(127) + enc[11:], 10), (enc + chr(127), 829)):
+        with pytest.raises(BadChar) as e:
+            parse_graph6(line)
+        assert e.value.position == position
 
 
 def test_length_mismatch():
@@ -76,6 +86,11 @@ def test_length_mismatch():
     assert (e.value.expected, e.value.got) == (1, 2)
     with pytest.raises(LengthMismatch):
         parse_graph6("")
+    enc = write_graph6(oracles.random_graph(100, 0.1, seed=3))  # four-byte header
+    for line, got in ((enc[:-1], 824), (enc + "?", 826)):
+        with pytest.raises(LengthMismatch) as e:
+            parse_graph6(line)
+        assert (e.value.expected, e.value.got) == (825, got)
 
 
 def test_extended_header():
@@ -127,6 +142,50 @@ def test_graph6_matches_networkx(g):
 def test_large_round_trip():
     g = oracles.random_graph(100, 0.1, seed=3)
     assert sorted(parse_graph6(write_graph6(g)).edges()) == sorted(g.edges())
+
+
+def test_graph6_matches_bitwise_references_for_every_n():
+    # n 0..140 crosses the 62/63 header switch and every residue of the
+    # padding (nbits % 6) and of the base64 grouping (nchars % 4); n 0 and 1
+    # have an empty body
+    for n in range(141):
+        for g in (oracles.random_graph(n, 0.3, seed=n), build_graph(n, []),
+                  oracles.random_graph(n, 1.0, seed=0)):
+            enc = write_graph6(g)
+            ref = oracles.g6_encode_reference(g)
+            assert enc == ref
+            assert parse_graph6(ref) == g
+            assert oracles.g6_decode_reference(enc) == g
+
+
+@pytest.mark.parametrize("n", [63, 100, 129])
+def test_graph6_matches_networkx_beyond_one_byte_header(n):
+    g = oracles.random_graph(n, 0.2, seed=n)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))  # node order defines the encoding
+    nxg.add_edges_from(g.edges())
+    theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+    assert write_graph6(g) == theirs
+    assert parse_graph6(theirs) == g
+    back = nx.from_graph6_bytes(theirs.encode())
+    assert sorted(map(tuple, map(sorted, back.edges()))) == sorted(g.edges())
+
+
+def test_nonzero_padding_bits_are_ignored():
+    # n 5: 10 bits, two of padding; n 70: 2415 bits, three of padding
+    assert parse_graph6("Dhf") == parse_graph6("Dhc") == cycle(5)
+    g = oracles.random_graph(70, 0.2, seed=1)
+    enc = write_graph6(g)
+    assert enc[-1] == "?"
+    assert parse_graph6(enc[:-1] + chr(63 + 0b000111)) == g
+
+
+def test_graph6_round_trip_at_ten_thousand_vertices():
+    g = oracles.diamond_strings(1600, 1, 0.3, 7)
+    assert g.n == 10720
+    enc = write_graph6(g)
+    assert len(enc) == 4 + -(-g.n * (g.n - 1) // 12)
+    assert parse_graph6(enc) == g
 
 
 # ------------------------------------------------------------- edge lists
