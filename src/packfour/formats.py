@@ -214,7 +214,7 @@ def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
         raise ParseError(1, "certificate field 's_spec' is not a list of integers")
     if type(cert["classes"]) is not dict or not all(map(_ints, cert["classes"].values())):
         raise ParseError(1, "certificate field 'classes' is not an object of integer lists")
-    g = build_graph(cert["n"], [tuple(e) for e in edges])
+    g = build_graph(cert["n"], edges)
     s = SSpec(tuple(cert["s_spec"]))
     name_to_index = {name: idx for idx, name in CLASS_NAMES.items()}
     coloring: list[int | None] = [None] * g.n

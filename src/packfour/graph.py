@@ -53,21 +53,19 @@ def build_graph(n: int, edges) -> Graph:
     if n < 0:
         raise VertexOutOfRange(n, n)
     nbrs: list[set[int]] = [set() for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
     for u, v in edges:
-        for x in (u, v):
-            if not 0 <= x < n:
-                raise VertexOutOfRange(x, n)
+        if not 0 <= u < n:
+            raise VertexOutOfRange(u, n)
+        if not 0 <= v < n:
+            raise VertexOutOfRange(v, n)
         if u == v:
             raise SelfLoop(u)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if v in nbrs[u]:
             raise DuplicateEdge(u, v)
-        seen.add(key)
         nbrs[u].add(v)
         nbrs[v].add(u)
     adj = tuple(tuple(sorted(s)) for s in nbrs)
-    return Graph(n=n, adj=adj, m=len(seen))
+    return Graph(n=n, adj=adj, m=sum(map(len, adj)) // 2)
 
 
 def bfs_distances(g: Graph, src: int) -> list[float]:

@@ -4,7 +4,9 @@ For a spec S = (a_1, ..., a_r), a coloring assigns every vertex a class in
 1..r, and class i must be an a_i-packing: pairwise distance strictly greater
 than a_i.  The verifier here is deliberately dumb — distance checks only, no
 knowledge of how a coloring was produced — so it can certify both pipeline
-and oracle output.
+and oracle output.  It finds violating pairs by distance: same-class edges,
+same-class pairs around a common neighbour, and a ball search only for
+members of classes whose radius is 3 or more; (1,1,2,2) needs no ball.
 """
 
 from __future__ import annotations
@@ -65,18 +67,57 @@ class Violation:
 def verify_spacking(g: Graph, s: SSpec, c: Coloring) -> Violation | None:
     """None if c is a valid S-packing coloring of g, else the first violation.
 
-    For each u in ascending order, looks for a same-class v > u inside u's
-    radius-a_i ball, so the returned violation is the lexicographically
-    smallest violating pair (u, v).
+    Two members of class i violate it when they are at distance at most a_i.
+    Three routes find the violating pairs:
+
+    1. distance 1: an edge whose ends share a class, since every a_i >= 1;
+    2. distance 2: two members of a class with a_i >= 2 among the
+       neighbours of one vertex w, read off w's adjacency;
+    3. distance 3 to a_i: a radius-a_i ball around each member u of a class
+       with a_i >= 3, scanned for a later member.
+
+    A violating pair at distance d is found by route 1 if d = 1, route 2 if
+    d = 2 (its members share a neighbour and a_i >= 2) and route 3 if d >= 3.
+    Route 2 keeps, per vertex w and class, the first member among w's
+    neighbours and pairs it with each later one.  That still yields the
+    lexicographically smallest violating pair (u, v): a first member f < u
+    would form the smaller violating pair (f, u).  Route 3 walks u upwards
+    and stops at its first pair, or once u passes the smallest pair routes
+    1 and 2 found.  The violation returned is the lexicographically smallest
+    pair over all routes, with its BFS distance.
     """
     if len(c) != g.n:
         raise ValueError(f"coloring covers {len(c)} vertices, graph has {g.n}")
+    r = s.r
     for v in range(g.n):
-        if not 1 <= c[v] <= s.r:
-            raise ClassOutOfRange(v, c[v], s.r)
-    for u in range(g.n):
-        near = vertices_within(g, [u], s.values[c[u] - 1])
-        v = min((w for w in near if w > u and c[w] == c[u]), default=None)
-        if v is not None:
-            return Violation(u, v, c[u], bfs_distances(g, u)[v])
-    return None
+        if not 1 <= c[v] <= r:
+            raise ClassOutOfRange(v, c[v], r)
+    radius = (0, *s.values)  # indexed by class
+    far = [a >= 2 for a in radius]
+    # first[k]: the first class-k neighbour of the vertex owner[k]
+    owner = [-1] * (r + 1)
+    first = [0] * (r + 1)
+    pairs: list[tuple[int, int]] = []
+    for w, nbrs in enumerate(g.adj):
+        cw = c[w]
+        for x in nbrs:
+            k = c[x]
+            if k == cw and x > w:
+                pairs.append((w, x))
+            if far[k]:
+                if owner[k] == w:
+                    pairs.append((first[k], x))
+                else:
+                    owner[k] = w
+                    first[k] = x
+    for u in range(min(pairs)[0] + 1 if pairs else g.n):
+        a = radius[c[u]]
+        if a >= 3:
+            v = min((w for w in vertices_within(g, [u], a) if w > u and c[w] == c[u]), default=None)
+            if v is not None:
+                pairs.append((u, v))
+                break
+    if not pairs:
+        return None
+    u, v = min(pairs)
+    return Violation(u, v, c[u], bfs_distances(g, u)[v])

@@ -31,17 +31,30 @@ from oracles import graphs
 
 
 def test_build_graph_validates():
-    with pytest.raises(SelfLoop):
-        build_graph(3, [(1, 1)])
-    with pytest.raises(DuplicateEdge):
-        build_graph(3, [(0, 1), (0, 1)])
-    # reversed orientation is still the same edge
-    with pytest.raises(DuplicateEdge):
-        build_graph(3, [(0, 1), (1, 0)])
-    with pytest.raises(VertexOutOfRange):
-        build_graph(3, [(0, 3)])
-    with pytest.raises(VertexOutOfRange):
-        build_graph(3, [(-1, 0)])
+    # each check's exception carries the offending endpoints; the checks run
+    # edge by edge, range (u, then v), then self-loop, then duplicate, so the
+    # first problem in the list wins over a later, different one
+    cases = [
+        ([(1, 1)], SelfLoop, {"u": 1}),
+        ([(0, 1), (0, 1)], DuplicateEdge, {"u": 0, "v": 1}),
+        # reversed orientation is still the same edge
+        ([(0, 1), (1, 0)], DuplicateEdge, {"u": 1, "v": 0}),
+        ([(0, 3)], VertexOutOfRange, {"v": 3, "n": 3}),
+        ([(-1, 0)], VertexOutOfRange, {"v": -1, "n": 3}),
+        ([(3, -1)], VertexOutOfRange, {"v": 3, "n": 3}),
+        ([(5, 5)], VertexOutOfRange, {"v": 5, "n": 3}),
+        ([(0, 1), (2, 2), (0, 5)], SelfLoop, {"u": 2}),
+        ([(0, 1), (1, 0), (1, 1)], DuplicateEdge, {"u": 1, "v": 0}),
+        ([(1, 3), (0, 0)], VertexOutOfRange, {"v": 3, "n": 3}),
+        ([(0, 2), (2, 0), (0, 7)], DuplicateEdge, {"u": 2, "v": 0}),
+    ]
+    for edges, error, fields in cases:
+        with pytest.raises(error) as e:
+            build_graph(3, edges)
+        assert vars(e.value) == fields, edges
+    with pytest.raises(VertexOutOfRange) as e:
+        build_graph(-1, [])
+    assert vars(e.value) == {"v": -1, "n": -1}
 
 
 def test_graph_basics():

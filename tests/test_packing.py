@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from packfour import packing
 from packfour.errors import ClassOutOfRange, EmptySpec, NotNonDecreasing, NotPositive
 from packfour.generators import cycle, inflate, k4, k33, petersen, prism
+from packfour.graph import build_graph
 from packfour.packing import SSpec, Violation, parse_sspec, verify_spacking
 from packfour.pipeline import color_claw_free_cubic
 
@@ -64,10 +66,16 @@ def test_verify_accepts_valid_colorings():
 
 
 def test_verify_reports_first_violation():
+    # distance 1: (0,2) has distance 2 > 1, so the first bad pair is (0,4)
     v = verify_spacking(cycle(5), SSpec((1, 2)), [1, 2, 1, 2, 1])
-    # (0,2) has distance 2 > 1, so the first bad pair is (0,4)
     assert v == Violation(0, 4, 1, 1)
     assert "0 and 4" in str(v) and "class 1" in str(v)
+    # distance 2 only: the ends of a path share a neighbour
+    path3 = build_graph(3, [(0, 1), (1, 2)])
+    assert verify_spacking(path3, SSpec((1, 2)), [2, 1, 2]) == Violation(0, 2, 2, 2)
+    # distance 3 only: (0,3) comes before the adjacent pair (1,2)
+    path4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert verify_spacking(path4, SSpec((3, 3)), [1, 2, 2, 1]) == Violation(0, 3, 1, 3)
     v = verify_spacking(prism(), SSpec((1, 1, 2, 2)), [3, 1, 2, 2, 4, 3])
     assert v is not None and (v.u, v.v, v.class_index) == (0, 5, 3)
 
@@ -84,8 +92,9 @@ def test_verify_input_errors():
 
 @st.composite
 def random_colorings(draw):
-    g = draw(graphs(max_n=8))
-    s = draw(st.sampled_from([(1,), (1, 1), (1, 2), (1, 1, 2, 2), (2, 3)]))
+    g = draw(graphs(max_n=10))
+    s = draw(st.sampled_from([(1,), (3,), (1, 1), (1, 2), (1, 5), (2, 3),
+                              (1, 1, 2, 2), (1, 1, 2, 3), (2, 2, 4, 5)]))
     coloring = draw(st.lists(st.integers(1, len(s)), min_size=g.n, max_size=g.n))
     return g, s, coloring
 
@@ -134,3 +143,40 @@ def test_singleton_classes_always_pass():
     g = petersen()
     s = SSpec(tuple(range(1, 11)))
     assert verify_spacking(g, s, list(range(1, 11))) is None
+
+
+@pytest.mark.parametrize("base_n", [160, 1600])
+def test_verify_1122_searches_no_ball(monkeypatch, base_n):
+    # radii 1 and 2 need no ball search: a valid coloring at n ~ 10^3 and
+    # n ~ 10^4 passes, and single flips are caught, with vertices_within gone
+    g = oracles.diamond_strings(base_n, 1, 0.3, 7)
+    coloring, _ = color_claw_free_cubic(g)
+
+    def no_ball(*args):
+        raise AssertionError("ball search on (1,1,2,2)")
+
+    monkeypatch.setattr(packing, "vertices_within", no_ball)
+    s = (1, 1, 2, 2)
+    assert verify_spacking(g, SSpec(s), coloring) is None
+    dists = set()
+    for f in range(0, g.n, g.n // 7):
+        # the unflipped coloring passes, so every violation of a flip at f
+        # involves f and lies in the radius-2 ball around f.  That ball holds
+        # every shortest path from f of length at most 2, and distances inside
+        # it never undercut the graph's: Floyd-Warshall on it is the reference
+        ball = sorted({f, *g.adj[f], *(y for x in g.adj[f] for y in g.adj[x])})
+        index = {x: i for i, x in enumerate(ball)}
+        sub = build_graph(len(ball), [(index[x], index[y]) for x in ball
+                                      for y in g.adj[x] if x < y and y in index])
+        dist = oracles.floyd_warshall(sub)
+        for k in (1, 2, 3, 4):
+            flipped = coloring[:]
+            flipped[f] = k
+            local = [flipped[x] for x in ball]
+            violating = [(ball[i], ball[j], local[i], dist[i][j])
+                         for i in range(len(ball)) for j in range(i + 1, len(ball))
+                         if local[i] == local[j] and dist[i][j] <= s[local[i] - 1]]
+            expected = Violation(*min(violating)) if violating else None
+            assert verify_spacking(g, SSpec(s), flipped) == expected
+            dists.add(None if expected is None else expected.dist)
+    assert dists == {None, 1, 2}  # passes, and both routes caught something
