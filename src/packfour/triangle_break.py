@@ -15,24 +15,25 @@ the first surviving triangle and it strictly increases the integer weight,
 which never exceeds 2n, so a run takes at most 2n steps.
 
 The triangles are listed once per graph, into one index from each vertex to
-the triangles through it; vertex weights, condition (3) and the K4 placement
-below all read that index.  The pair is mutable search state, updated in
-place from the triangles of the moved vertices only: the sides a and b, their
-union, the number of chosen vertices on each triangle, the weight and the
-number of surviving triangles.  The first surviving triangle comes off a
+the triangles through it; vertex weights, each vertex's triangle mates and
+the K4 placement below all read that index.  The pair is mutable search
+state, updated in place from the triangles of the moved vertices only: the
+sides a and b, the number of chosen vertices on each triangle, the weight
+and the number of surviving triangles.  The first surviving triangle comes off a
 min-heap of triangle indices with lazy deletion; a removal can revive an
 earlier triangle, so its index goes back on the heap.  A PackingPair is built
 only where the pair leaves the search: the returned pair and Stuck.
 
 Moves around a triangle are generated lazily in canonical order
-(Move.sort_key: additions, then removals), and a step takes the first.  Each
-addition item (vertex, side) settles its forced removals once per step: the
-members of its side within distance 2 (condition (1)) and, when it switches
-sides, the vertex itself on the other side.  Items and pairs of items whose
-forced removals need two removals from one side, or weigh at least their
-gain, are skipped before any removal is chosen; so are two additions on one
-side within distance 2.  Only removal choices containing the forced ones are
-enumerated, and each is checked for weight gain, then condition (3).
+(Move.sort_key: additions, then removals), and a step takes the first.  An
+addition item (vertex, side) settles its forced removals once, when a step
+first needs it: the members of its side within distance 2 (condition (1)),
+and on the other side the vertex itself when it switches and the chosen
+vertices sharing a triangle with it (condition (3)).  Items whose forced
+removals fall twice on one side are dropped, and two additions on one side
+within distance 2, or on one triangle, are never paired.  Any removal set
+holding the forced removals, at most one per side, then satisfies (1)-(3),
+so the valid sets are generated directly, by weight, rather than filtered.
 
 Complete-graph components on four vertices cannot satisfy (3) with two chosen
 vertices (any two of their vertices share a triangle), so each K4 component is
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
+from itertools import combinations
 from typing import Iterator
 
 from .errors import Stuck
@@ -104,21 +105,9 @@ class AppliedMove:
         }
 
 
-def _choices(items: list, compatible) -> Iterator[tuple]:
-    """Each item alone, then each compatible pair (x, y) with y after x.
-
-    On a sorted list this is lexicographic order: (x,) precedes (x, *).
-    """
-    for i, x in enumerate(items):
-        yield (x,)
-        for y in items[i + 1:]:
-            if compatible(x, y):
-                yield (x, y)
-
-
 class _Search:
-    """The triangle index and radius-2 balls of one graph, and the pair the
-    search holds on it, kept as mutable state and updated in place."""
+    """The triangle index, mates and radius-2 balls of one graph, and the pair
+    the search holds on it, kept as mutable state and updated in place."""
 
     def __init__(self, g: Graph, a=(), b=()):
         self.g = g
@@ -129,10 +118,12 @@ class _Search:
                 self.tri_by_vertex[v].append(i)
         self.wvec = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
         self.ball2 = [vertices_within(g, [v], 2) for v in range(g.n)]
+        # the vertices of the triangles through each vertex, itself included
+        self.mates = [{u for ti in ts for u in self.triangles[ti]} for ts in self.tri_by_vertex]
         self.sides = (set(a), set(b))
-        self.marked = self.sides[SIDE_A] | self.sides[SIDE_B]
-        self.weight = sum(self.wvec[v] for v in self.marked)
-        self.hits = [sum(1 for v in t if v in self.marked) for t in self.triangles]
+        marked = self.sides[SIDE_A] | self.sides[SIDE_B]
+        self.weight = sum(self.wvec[v] for v in marked)
+        self.hits = [sum(1 for v in t if v in marked) for t in self.triangles]
         # indices of surviving triangles, ascending, so already a min-heap
         self.survivors = [i for i, h in enumerate(self.hits) if h == 0]
         self.surviving = len(self.survivors)
@@ -147,7 +138,6 @@ class _Search:
         for side, r in ((SIDE_A, move.remove_a), (SIDE_B, move.remove_b)):
             if r is not None:
                 self.sides[side].remove(r)
-                self.marked.remove(r)
                 self.weight -= self.wvec[r]
                 for ti in self.tri_by_vertex[r]:
                     self.hits[ti] -= 1
@@ -157,7 +147,6 @@ class _Search:
         for side, adds in ((SIDE_A, move.add_a), (SIDE_B, move.add_b)):
             for v in adds:
                 self.sides[side].add(v)
-                self.marked.add(v)
                 self.weight += self.wvec[v]
                 for ti in self.tri_by_vertex[v]:
                     if self.hits[ti] == 0:
@@ -174,67 +163,77 @@ class _Search:
 
     def improving_moves(self, t: Triangle) -> Iterator[Move]:
         """Valid strictly weight-increasing moves whose additions lie within
-        distance 3 of t, generated in Move.sort_key() order.
+        distance 3 of t (the radius-2 balls of t and its neighbours),
+        generated in Move.sort_key() order.
 
         Additions are (vertex, side) items: one, or two on distinct vertices.
-        Removals are (vertex, side) items too, at most one per side, taken
-        from that side within distance 2 of an addition, none first.  Each
-        item's forced removals are settled once per call: the members of its
-        side within distance 2 of it (condition (1)), and the vertex itself on
-        the other side when it switches.  An item forcing two removals from
-        one side is dropped, two items on one side within distance 2 are never
-        paired, and a pair is skipped when its forced removals fall twice on
-        one side or weigh at least its gain.  Only removal choices containing
-        every forced removal are tried; each is checked for gain, then for
-        condition (3).  The generator reads the live state, so it must not be
+        Each item settles its complete forced removals for conditions (1)
+        and (3) once, on demand, in item order (_forced).  Pairs on one side
+        within distance 2, sharing a triangle, or too light to outweigh the
+        first item's forced removals are skipped before the second item is
+        settled; _exchanges generates each combo's valid removal sets
+        directly.  The generator reads the live state, so it must not be
         resumed after a move is played.
         """
-        w, ball2, sides = self.wvec, self.ball2, self.sides
-        forced: dict[tuple[int, int], frozenset] = {}
-        for v in sorted(vertices_within(self.g, t, 3)):
-            if not self.tri_by_vertex[v]:
+        ball2, mates, sides, w = self.ball2, self.mates, self.sides, self.wvec
+        near = set().union(*(ball2[u] for u in {u for x in t for u in self.g.adj[x]}))
+        items = [(v, side) for v in sorted(near) if w[v]
+                 for side in (SIDE_A, SIDE_B) if v not in sides[side]]
+        forced: dict[tuple[int, int], frozenset | None] = {}
+
+        def settled(x):
+            if x not in forced:
+                forced[x] = self._forced(*x)
+            return forced[x]
+
+        for i, x in enumerate(items):
+            fx = settled(x)
+            if fx is None:
                 continue
-            for side in (SIDE_A, SIDE_B):
-                if v in sides[side]:
-                    continue  # already on its own side
-                clash = sides[side] & ball2[v]
-                if len(clash) < 2:
-                    forced[(v, side)] = frozenset(
-                        [(u, side) for u in clash]
-                        + ([(v, 1 - side)] if v in sides[1 - side] else []))
-        items = list(forced)  # insertion order is (vertex, side) order
+            yield from self._exchanges((x,), fx)
+            v, side = x
+            spare = w[v] - sum(w[r] for r, _ in fx)
+            for y in items[i + 1:]:
+                u = y[0]
+                if u in mates[v] or (y[1] == side and u in ball2[v]) or w[u] + spare <= 0:
+                    continue  # same vertex or (3), (1), or no gain over fx
+                fy = settled(y)
+                if fy is not None:
+                    yield from self._exchanges((x, y), fx | fy)
 
-        def compatible(x, y) -> bool:
-            return x[0] != y[0] and (x[1] != y[1] or y[0] not in ball2[x[0]])
+    def _forced(self, v: int, side: int) -> frozenset | None:
+        """The removals (vertex, side) that adding v to side forces, or None
+        when two fall on one side: the members of its side within distance 2
+        (condition (1)), and on the other side v itself when it switches and
+        the chosen vertices sharing a triangle with v (condition (3))."""
+        clash = self.sides[side] & self.ball2[v]
+        mates = self.sides[1 - side] & self.mates[v]
+        if len(clash) > 1 or len(mates) > 1:
+            return None
+        return frozenset([(u, side) for u in clash] + [(u, 1 - side) for u in mates])
 
-        for combo in _choices(items, compatible):
-            must = frozenset().union(*(forced[x] for x in combo))
-            if len({side for _, side in must}) < len(must):
-                continue  # two forced removals from one side
-            gain = sum(w[v] for v, _ in combo)
-            if gain <= sum(w[r] for r, _ in must):
-                continue
-            near = set().union(*(ball2[v] for v, _ in combo))
-            rems = sorted((r, side) for side in (SIDE_A, SIDE_B) for r in sides[side] & near)
-            for removal in chain([()], _choices(rems, lambda x, y: x[1] != y[1])):
-                if (must.issubset(removal) and gain > sum(w[r] for r, _ in removal)
-                        and self._admits(combo, removal)):
-                    rem = {side: r for r, side in removal}
-                    yield Move(tuple(v for v, s in combo if s == SIDE_A),
-                               tuple(v for v, s in combo if s == SIDE_B),
-                               rem.get(SIDE_A), rem.get(SIDE_B))
-
-    def _admits(self, combo, removal) -> bool:
-        """Condition (3) after the exchange: no triangle through an addition
-        holds two chosen vertices.  The forced removals settle condition (1)
-        and the switch of sides, and every addition is a triangle vertex, so
-        condition (2) needs no check."""
-        added = {v for v, _ in combo}
-        removed = {r for r, _ in removal}
-        marked = self.marked
-        return not any(sum(1 for u in self.triangles[ti]
-                           if u in added or (u in marked and u not in removed)) >= 2
-                       for v in added for ti in self.tri_by_vertex[v])
+    def _exchanges(self, combo, must) -> Iterator[Move]:
+        """The moves adding combo, in removal order.  Every removal set that
+        holds all forced removals must, at most one vertex per side, each
+        within distance 2 of an addition, satisfies (1)-(3), so only weight
+        decides: the sets are must plus an extra chosen vertex on any side
+        must leaves free, while the additions outweigh the removals."""
+        w = self.wvec
+        taken = {side for _, side in must}
+        slack = sum(w[v] for v, _ in combo) - sum(w[r] for r, _ in must)
+        if len(taken) < len(must) or slack <= 0:
+            return
+        near = set().union(*(self.ball2[v] for v, _ in combo))
+        extras = [(r, side) for side in (SIDE_A, SIDE_B) if side not in taken
+                  for r in self.sides[side] & near if w[r] < slack]
+        sets = [must] + [must | {x} for x in extras] + [
+            must | {x, y} for x, y in combinations(extras, 2)
+            if x[1] != y[1] and w[x[0]] + w[y[0]] < slack]
+        add_a = tuple(v for v, side in combo if side == SIDE_A)
+        add_b = tuple(v for v, side in combo if side == SIDE_B)
+        for removal in sorted(sorted(rs) for rs in sets):
+            rem = {side: r for r, side in removal}
+            yield Move(add_a, add_b, rem.get(SIDE_A), rem.get(SIDE_B))
 
 
 def enumerate_improving_moves(g: Graph, pair: PackingPair, t: Triangle) -> Iterator[Move]:

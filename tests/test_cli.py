@@ -189,6 +189,18 @@ def test_verify_graph_mismatch(tmp_path, capsys):
     assert "does not match" in err
 
 
+def test_verify_rejects_moved_edge(tmp_path, capsys):
+    # same n and m as the input, one edge moved: only the edge sets differ
+    inp, cert_path = color_to_file(tmp_path, capsys, prism())
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    assert [2, 5] in cert["edges"] and [2, 4] not in cert["edges"]
+    cert["edges"] = [[2, 4] if e == [2, 5] else e for e in cert["edges"]]
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    code, _, err = run(capsys, "verify", inp, cert_path)
+    assert code == 1
+    assert "does not match" in err
+
+
 def test_verify_unreadable_certificate(tmp_path, capsys):
     inp = write(tmp_path, "graph.g6", write_graph6(prism()) + "\n")
     bad = write(tmp_path, "cert.json", "{broken")

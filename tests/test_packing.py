@@ -110,7 +110,23 @@ def one_flip_colorings(draw):
     return g, (1, 1, 2, 2), coloring
 
 
-@given(st.one_of(random_colorings(), one_flip_colorings()))
+@st.composite
+def planted_far_colorings(draw):
+    # two vertices at distance 3-5 share a class of exactly that radius and
+    # every other vertex has a class of its own, so the one violation lies
+    # where only the ball search looks; a pendant path makes such a pair exist
+    g = draw(graphs(min_n=1, max_n=8))
+    path = [0] + list(range(g.n, g.n + draw(st.integers(3, 5))))
+    g = build_graph(path[-1] + 1, list(g.edges()) + list(zip(path, path[1:])))
+    dist = oracles.floyd_warshall(g)
+    u, v = draw(st.sampled_from([(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                                 if 3 <= dist[u][v] <= 5]))
+    others = iter(range(1, g.n - 1))
+    coloring = [g.n - 1 if x in (u, v) else next(others) for x in range(g.n)]
+    return g, (1,) * (g.n - 2) + (int(dist[u][v]),), coloring
+
+
+@given(st.one_of(random_colorings(), one_flip_colorings(), planted_far_colorings()))
 @settings(max_examples=80)
 def test_verify_agrees_with_distance_oracle(case):
     g, s, coloring = case

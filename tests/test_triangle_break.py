@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -34,13 +35,14 @@ import oracles
 from oracles import check_packing_pair, recompute_pair, surviving_triangles
 
 
-def k4_component_vertices(g) -> set[int]:
+@functools.lru_cache(maxsize=64)
+def k4_component_vertices(g) -> frozenset[int]:
     out: set[int] = set()
     for comp in components(g):
         if len(comp) == 4 and all(g.has_edge(u, v)
                                   for u, v in itertools.combinations(comp, 2)):
             out.update(comp)
-    return out
+    return frozenset(out)  # cached, so immutable
 
 
 def essential_violations(g, a, b):
@@ -148,7 +150,7 @@ def sides_after(trace):
 def reference_moves(g, pair, t):
     """Every move shape around t, brute force, kept when valid and strictly
     improving, in Move.sort_key order."""
-    d = oracles.floyd_warshall(g)
+    d = oracles.cached_distances(g)
     counts = triangle_membership_counts(g)
     near_t = [v for v in range(g.n) if counts[v] >= 1 and min(d[v][x] for x in t) <= 3]
     a, b = set(pair.a), set(pair.b)
@@ -177,8 +179,13 @@ def reference_moves(g, pair, t):
     (prism, set(), set(), (0, 1, 2)),
     (prism, {0}, set(), (3, 4, 5)),
     (lambda: diamond_necklace(2), {0}, set(), (4, 6, 7)),
+    (lambda: diamond_necklace(4), {1}, {5, 9}, (0, 2, 3)),
     (lambda: inflate(k4()), {0}, set(), (3, 4, 5)),
     (lambda: inflate(random_cubic(10, seed=2)), None, None, None),  # mid-run pair
+    (lambda: inflate(random_cubic(8, seed=3)), None, None, None),
+    (lambda: inflate(random_cubic(12, seed=1)), None, None, None),
+    (lambda: oracles.diamond_strings(40, 1, 0.3, 2), None, None, None),
+    (lambda: oracles.diamond_strings(40, 1, 0.3, 3), None, None, None),
 ])
 def test_enumerate_stream_sound(setup):
     make, a, b, t = setup
@@ -193,7 +200,7 @@ def test_enumerate_stream_sound(setup):
     keys = [m.sort_key() for m in moves]
     assert keys == sorted(keys)
     assert len(set(moves)) == len(moves)
-    near_t = oracles.floyd_warshall(g)
+    near_t = oracles.cached_distances(g)
     for m in moves:
         adds = list(m.add_a) + list(m.add_b)
         assert 1 <= len(adds) <= 2 and len(set(adds)) == len(adds)
@@ -211,6 +218,47 @@ def test_enumerate_stream_sound(setup):
         result = recompute_pair(g, na, nb)
         assert (result.weight > pair.weight
                 or (result.weight == pair.weight and result.surviving < pair.surviving))
+
+
+def forcing_conditions(g, m, r, side):
+    """Why move m must remove r from side: 1 when an addition on that side lies
+    within distance 2 of r, 3 when r shares a triangle with an addition on the
+    other side, "switch" when r itself is added on the other side."""
+    d = oracles.cached_distances(g)
+    out = set()
+    for v, s in [(v, "a") for v in m.add_a] + [(v, "b") for v in m.add_b]:
+        if s == side and d[r][v] <= 2:
+            out.add(1)
+        elif s != side and r == v:
+            out.add("switch")
+        elif s != side and any({r, v} <= set(t) for t in oracles.cached_triangles(g)):
+            out.add(3)
+    return out
+
+
+def removals_and_reasons(g, pair, t):
+    """Each reference move around t with the forcing conditions of each of
+    its removals, in Move.sort_key order."""
+    return [(m, [forcing_conditions(g, m, r, side) for r, side in
+                 sorted((r, side) for r, side in ((m.remove_a, "a"), (m.remove_b, "b"))
+                        if r is not None)])
+            for m in reference_moves(g, pair, t)]
+
+
+def test_enumerate_cases_reach_every_removal_rule():
+    # cases of test_enumerate_stream_sound that reach each removal rule: the
+    # mid-run pair on diamond_strings(40, 1, 0.3, 3) has a removal forced by
+    # condition (3) alone, and two-removal moves whose unforced extra removal
+    # sorts before the forced one; the necklace pair has moves whose two
+    # removals are both unforced extras
+    g = oracles.diamond_strings(40, 1, 0.3, 3)
+    a, b, t = mid_run(g)
+    moves = removals_and_reasons(g, recompute_pair(g, a, b), t)
+    assert any(why == {3} for _, whys in moves for why in whys)
+    assert any(len(whys) == 2 and not whys[0] and whys[1] for _, whys in moves)
+    g = diamond_necklace(4)
+    moves = removals_and_reasons(g, recompute_pair(g, {1}, {5, 9}), (0, 2, 3))
+    assert any(whys == [set(), set()] for _, whys in moves)
 
 
 def test_break_k4_frozen():
@@ -304,27 +352,34 @@ DIAMOND_STRING_TRACES = {
 
 @pytest.mark.parametrize("base_n", sorted(DIAMOND_STRING_TRACES))
 def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
-    # counts, not timings: condition (3) checks per step stay below a constant
-    # from n ~ 10^3 to n ~ 10^4, and the pair is built whole only at the end
+    # counts, not timings: addition items settled and combos examined per
+    # step stay below a constant from n ~ 10^3 to n ~ 10^4, and the pair is
+    # built whole only at the end
     g = oracles.diamond_strings(base_n, 1, 0.3, 7)
-    admits = _Search._admits
-    counts = {"checks": 0, "pairs": 0}
+    forced, exchanges = _Search._forced, _Search._exchanges
+    counts = {"settled": 0, "combos": 0, "pairs": 0}
 
-    def counted_admits(self, *args):
-        counts["checks"] += 1
-        return admits(self, *args)
+    def counted_forced(self, *args):
+        counts["settled"] += 1
+        return forced(self, *args)
+
+    def counted_exchanges(self, *args):
+        counts["combos"] += 1
+        return exchanges(self, *args)
 
     class CountedPair(PackingPair):
         def __init__(self, *args, **kwargs):
             counts["pairs"] += 1
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(_Search, "_admits", counted_admits)
+    monkeypatch.setattr(_Search, "_forced", counted_forced)
+    monkeypatch.setattr(_Search, "_exchanges", counted_exchanges)
     monkeypatch.setattr(triangle_break, "PackingPair", CountedPair)
     pair, trace = break_triangles(g)
     n, steps, digest = DIAMOND_STRING_TRACES[base_n]
     assert (g.n, len(trace), pair.surviving) == (n, steps, 0)
-    assert counts["checks"] <= 6 * steps
+    assert counts["settled"] <= 12 * steps
+    assert counts["combos"] <= 16 * steps
     assert counts["pairs"] == 1
     records = json.dumps([am.to_record() for am in trace], sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == digest
