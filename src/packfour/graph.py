@@ -252,48 +252,82 @@ def _odd_cycle_from_conflict(u: int, v: int, parent: list[int]) -> OddCycle:
     return _canonical_cycle(cycle)
 
 
+def _odd_layer(g: Graph, s: int, radius: int) -> tuple[int, dict[int, int], list[int]] | None:
+    # BFS from s, layer by layer, out to depth radius; stops at the first
+    # layer d that holds an edge and returns (d, dist, layer d), where dist
+    # is exact for every vertex within depth d.  None if no layer up to
+    # radius holds one.
+    adj = g.adj
+    dist = {s: 0}
+    layer = [s]
+    d = 0
+    while layer:
+        nxt = []
+        for x in layer:
+            for y in adj[x]:
+                dy = dist.get(y)
+                if dy is None:
+                    dist[y] = d + 1
+                    nxt.append(y)
+                elif dy == d:
+                    return d, dist, layer
+        if d == radius:
+            return None
+        layer = nxt
+        d += 1
+    return None
+
+
+def _least_on_geodesics(g: Graph, d: int, dist: dict[int, int], layer: list[int]) -> int:
+    # the smallest vertex on a shortest path from the BFS source to an end of
+    # an edge inside layer d, found by walking the layers back to the source
+    adj = g.adj
+    front = {x for x in layer if any(dist.get(y) == d for y in adj[x])}
+    least = min(front)
+    for t in range(d - 1, -1, -1):
+        front = {y for x in front for y in adj[x] if dist.get(y) == t}
+        least = min(least, min(front))
+    return least
+
+
 def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     """A minimum-length odd cycle, or None if the graph is bipartite.
 
-    An edge joining two vertices in the same BFS layer of a source closes an
-    odd walk of length 2*layer + 1, and the minimum over all sources and such
-    edges is attained by a simple chordless cycle.  The witness is the first
-    minimum in scan order: smallest source, then the lexicographically first
-    edge in one of its layers.
+    An edge joining two vertices in BFS layer d of a source closes an odd
+    walk of length 2d + 1, and the minimum over all sources and such edges is
+    attained by a simple chordless cycle.  The witness is the first minimum
+    in scan order: smallest source, then the lexicographically first edge in
+    one of its layers.  That source is the smallest vertex on any shortest
+    odd cycle, since a shortest odd cycle is isometric: each of its vertices
+    sees the cycle's opposite edge inside one layer.
 
-    two_coloring first finds the non-bipartite components; with none, the
-    graph is bipartite and the answer is None at once.  A source in a
-    bipartite component never sees such an edge, so only the vertices of the
-    other components are swept, all at once, one layer per round, on
-    Python-int bitsets: layer[v] holds the sources at distance exactly d from
-    v.  The first round in which some vertex shares a source with a
-    neighbour's layer fixes the minimum; the lowest bit of the union is the
-    witness source, whose BFS tree is then spliced at the first edge holding
-    it.  Every source there has such a round, so the sweep always ends.
+    two_coloring runs first; a bipartite graph returns None at once.  Every
+    odd cycle holds a clash edge, one whose ends share a color, so the
+    smaller ends of the clash edges meet every odd cycle, and only they are
+    searched, in ascending order.  Each search is a BFS cut off at the
+    shallowest edge-holding layer found so far, ties included; the least
+    such depth h gives the odd girth 2h + 1.  A vertex on a shortest path
+    from a source to an end of an edge inside that source's layer h lies on
+    a shortest odd cycle, and every shortest odd cycle passes through a
+    searched source, so walking the BFS layers of the sources that reach
+    depth h back from those ends marks exactly the vertices on shortest odd
+    cycles.  The smallest marked vertex is the witness source; one BFS from
+    it gives the first edge with both ends at depth h, whose tree paths are
+    spliced into the cycle.
     """
-    odd = two_coloring(g)[1]
+    color, odd = two_coloring(g)
     if not odd:
         return None
-    layer = [0] * g.n
-    for v in odd:
-        layer[v] = 1 << v
-    seen = layer[:]
     adj = g.adj
-    while True:
-        hit = 0
-        nxt = [0] * g.n
-        for x in odd:
-            reach = 0
-            for y in adj[x]:
-                reach |= layer[y]
-            hit |= reach & layer[x]
-            reach &= ~seen[x]
-            seen[x] |= reach
-            nxt[x] = reach
-        if hit:
-            break
-        layer = nxt
-    low = hit & -hit
-    s = low.bit_length() - 1
-    u, v = next((u, v) for u, v in g.edges() if layer[u] & layer[v] & low)
-    return _odd_cycle_from_conflict(u, v, _bfs_parents(g, s)[1])
+    sources = sorted({u for u in odd for v in adj[u] if v > u and color[v] == color[u]})
+    h = first = g.n
+    for s in sources:
+        found = _odd_layer(g, s, h)
+        if found is None:
+            continue
+        if found[0] < h:
+            h, first = found[0], g.n
+        first = min(first, _least_on_geodesics(g, *found))
+    dist, parent = _bfs_parents(g, first)
+    u, v = next((u, v) for u in range(g.n) if dist[u] == h for v in adj[u] if v > u and dist[v] == h)
+    return _odd_cycle_from_conflict(u, v, parent)

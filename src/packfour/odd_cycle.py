@@ -7,10 +7,13 @@ without breaking that side's 2-packing — side a is tried before side b.
 Distances are always measured in the original graph, not the remainder.
 
 graph.shortest_odd_cycle first 2-colors the remainder: a bipartite remainder
-ends the loop at once, and bipartite components are left out of the search.
-On the vertices of the other components it runs one layer sweep, a BFS from
-each of them at once on bitsets, plus one ordinary BFS from the witness
-source, so the remainder need not be claw-free or of maximum degree 2.
+ends the loop at once.  Otherwise it runs a BFS from the smaller end of each
+clash edge (an edge whose ends share a color), since every odd cycle holds
+one, cut off at the shallowest edge-holding layer found so far.  Walking
+those BFS layers back from the ends of the edges inside the shallowest layer
+marks the vertices on shortest odd cycles, and one more BFS from the smallest
+of them gives the witness, so the remainder need not be claw-free or of
+maximum degree 2.
 
 The loop works on one live map from side to vertex set and one remainder set,
 updated in place by each absorption.  Every absorption deletes a vertex from

@@ -346,6 +346,42 @@ def graphs(draw, min_n: int = 0, max_n: int = 10) -> Graph:
 
 
 @st.composite
+def tied_odd_cycles(draw) -> Graph:
+    """A relabelled union of 2-4 odd cycles of one drawn length.
+
+    Each cycle after the first either stands alone or hangs off an earlier
+    vertex by a bridge path of 0-3 edges (0 shares the vertex), and 0-3
+    pendant paths hang off random vertices.  No join closes a cycle, so the
+    drawn cycles are the graph's only odd cycles and all tie as shortest;
+    the smallest vertex on them is often no end of a 2-coloring clash edge.
+    """
+    length = draw(st.sampled_from((3, 5, 7, 9)))
+    n = 0
+    edges: list[tuple[int, int]] = []
+
+    def path(start: int, hops: int) -> int:
+        nonlocal n
+        for _ in range(hops):
+            edges.append((start, n))
+            start = n
+            n += 1
+        return start
+
+    for i in range(draw(st.integers(2, 4))):
+        if i and draw(st.booleans()):
+            anchor = path(draw(st.integers(0, n - 1)), draw(st.integers(0, 3)))
+        else:
+            anchor = n
+            n += 1
+        ring = [anchor] + list(range(n, n + length - 1))
+        n += length - 1
+        edges += [(ring[j - 1], ring[j]) for j in range(length)]
+    for _ in range(draw(st.integers(0, 3))):
+        path(draw(st.integers(0, n - 1)), draw(st.integers(1, 3)))
+    return permute(build_graph(n, edges), draw(st.permutations(range(n))))
+
+
+@st.composite
 def cubic_graphs(draw, max_n: int = 16) -> Graph:
     from packfour.generators import random_cubic
 

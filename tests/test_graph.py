@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from packfour import graph
 from packfour.errors import DuplicateEdge, SelfLoop, VertexOutOfRange
 from packfour.generators import cycle, k4, k33, petersen, prism, problem1_family, random_cubic
 from packfour.graph import (
@@ -224,6 +225,12 @@ def test_shortest_odd_cycle_frozen():
     assert shortest_odd_cycle(cycle(6)) is None
     assert shortest_odd_cycle(petersen()) == (0, 1, 2, 3, 4)
     assert shortest_odd_cycle(k4()) == (0, 1, 2)
+    # a bowtie with 2 isolated: the clash edges are (1, 4) and (3, 5), so the
+    # searched sources are 1 and 3, yet the witness source 0 is on the tied
+    # triangle through 3 and ends no clash edge
+    bowtie = build_graph(6, [(0, 3), (0, 5), (1, 4), (1, 5), (3, 5), (4, 5)])
+    assert shortest_odd_cycle(bowtie) == (0, 3, 5)
+    assert oracles.reference_shortest_odd_cycle(bowtie) == (0, 3, 5)
 
 
 @given(graphs(max_n=10))
@@ -290,6 +297,56 @@ def test_shortest_odd_cycle_witness_on_reducer_remainders(n, seed):
 def test_shortest_odd_cycle_over_components(g, want):
     assert shortest_odd_cycle(g) == want
     assert shortest_odd_cycle(g) == oracles.reference_shortest_odd_cycle(g)
+
+
+@given(oracles.tied_odd_cycles())
+@settings(max_examples=100)
+def test_shortest_odd_cycle_witness_on_tied_cycles(g):
+    assert shortest_odd_cycle(g) == oracles.reference_shortest_odd_cycle(g)
+
+
+def _clash_edges(g):
+    color = two_coloring(g)[0]
+    return sum(color[u] == color[v] for u, v in g.edges())
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    # the sources of every bounded per-source BFS shortest_odd_cycle runs
+    sources = []
+    search = graph._odd_layer
+
+    def counted(g, s, radius):
+        sources.append(s)
+        return search(g, s, radius)
+
+    monkeypatch.setattr(graph, "_odd_layer", counted)
+    return sources
+
+
+def test_shortest_odd_cycle_searches_one_source_on_long_cycle(searched):
+    # one clash edge, (10000, 10001), so one source; a search from every
+    # vertex would take about n^2 BFS steps here
+    g = cycle(20001)
+    assert _clash_edges(g) == 1
+    assert shortest_odd_cycle(g) == tuple(range(20001))
+    assert searched == [10000]
+
+
+def test_shortest_odd_cycle_searches_at_most_clash_edges(searched):
+    # every remainder the reducer visits on problem1_family(60, 0)
+    g = problem1_family(60, 0)
+    pair, _ = break_triangles(g)
+    _, additions = reduce_odd_cycles(g, pair)
+    assert additions
+    remaining = set(range(g.n)) - pair.marked
+    for add in [None] + additions:
+        if add is not None:
+            remaining.discard(add.vertex)
+        sub, _ = induced_subgraph(g, remaining)
+        searched.clear()
+        shortest_odd_cycle(sub)
+        assert len(searched) <= _clash_edges(sub)
 
 
 @given(graphs(max_n=8), graphs(max_n=8), st.data())
