@@ -70,24 +70,16 @@ def build_graph(n: int, edges) -> Graph:
 
 def bfs_distances(g: Graph, src: int) -> list[float]:
     """Hop distances from src; INF where unreachable."""
-    return _bfs_parents(g, src)[0]
-
-
-def _bfs_parents(g: Graph, src: int) -> tuple[list[float], list[int]]:
-    # parent[src] == src; parent[v] == -1 where unreachable
     dist: list[float] = [INF] * g.n
-    parent = [-1] * g.n
     dist[src] = 0
-    parent[src] = src
     q = deque([src])
     while q:
         u = q.popleft()
         for v in g.adj[u]:
             if dist[v] is INF:
                 dist[v] = dist[u] + 1
-                parent[v] = u
                 q.append(v)
-    return dist, parent
+    return dist
 
 
 def vertices_within(g: Graph, sources, radius: int) -> set[int]:
@@ -135,9 +127,9 @@ def is_cubic(g: Graph) -> bool:
 
 def require_cubic(g: Graph) -> None:
     """Raise NotCubic at the first vertex whose degree is not 3."""
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            raise NotCubic(v, g.degree(v))
+    for v, a in enumerate(g.adj):
+        if len(a) != 3:
+            raise NotCubic(v, len(a))
 
 
 def find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
@@ -154,21 +146,21 @@ def find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
     return None
 
 
-def induced_subgraph(g: Graph, keep) -> tuple[Graph, list[int]]:
-    """Subgraph induced by `keep`, plus the increasing new->old vertex map.
+def induced_subgraph(g: Graph, keep) -> Graph:
+    """Subgraph induced by `keep`, on g's own vertex ids.
 
-    The map is monotone and g's adjacency tuples are sorted, so relabelling
-    them keeps them sorted and simple: no revalidation through build_graph.
+    Vertices outside keep stay, isolated.  g's adjacency tuples are sorted,
+    so filtering them keeps them sorted and simple: no revalidation through
+    build_graph.
     """
-    mapping = sorted(set(keep))
-    for v in mapping:
+    inside = [False] * g.n
+    for v in keep:
         if not 0 <= v < g.n:
             raise VertexOutOfRange(v, g.n)
-    new = [-1] * g.n
-    for i, old in enumerate(mapping):
-        new[old] = i
-    adj = tuple(tuple([new[w] for w in g.adj[old] if new[w] >= 0]) for old in mapping)
-    return Graph(n=len(mapping), adj=adj, m=sum(map(len, adj)) // 2), mapping
+        inside[v] = True
+    adj = tuple(tuple([w for w in a if inside[w]]) if inside[v] else ()
+                for v, a in enumerate(g.adj))
+    return Graph(n=g.n, adj=adj, m=sum(map(len, adj)) // 2)
 
 
 def components(g: Graph) -> list[list[int]]:
@@ -231,7 +223,7 @@ def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
     return color, odd
 
 
-def _path_to_root(v: int, parent: list[int]) -> list[int]:
+def _path_to_root(v: int, parent: dict[int, int]) -> list[int]:
     path = [v]
     while parent[path[-1]] != path[-1]:
         path.append(parent[path[-1]])
@@ -239,10 +231,10 @@ def _path_to_root(v: int, parent: list[int]) -> list[int]:
     return path
 
 
-def _odd_cycle_from_conflict(u: int, v: int, parent: list[int]) -> OddCycle:
+def _odd_cycle_from_conflict(u: int, v: int, parent: dict[int, int]) -> OddCycle:
     # BFS-tree paths from the root share a prefix and diverge permanently, so
     # splicing them at the last common vertex yields a simple cycle; u and v
-    # have equal depth parity (same color, or same BFS layer), so it is odd.
+    # share a BFS layer, so it is odd.
     pu = _path_to_root(u, parent)
     pv = _path_to_root(v, parent)
     i = 0
@@ -312,8 +304,8 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     searched source, so walking the BFS layers of the sources that reach
     depth h back from those ends marks exactly the vertices on shortest odd
     cycles.  The smallest marked vertex is the witness source; one BFS from
-    it gives the first edge with both ends at depth h, whose tree paths are
-    spliced into the cycle.
+    it, stopped at depth h, gives the lexicographically first edge with both
+    ends at depth h, whose tree paths are spliced into the cycle.
     """
     color, odd = two_coloring(g)
     if not odd:
@@ -328,6 +320,16 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
         if found[0] < h:
             h, first = found[0], g.n
         first = min(first, _least_on_geodesics(g, *found))
-    dist, parent = _bfs_parents(g, first)
-    u, v = next((u, v) for u in range(g.n) if dist[u] == h for v in adj[u] if v > u and dist[v] == h)
+    parent = {first: first}
+    layer = [first]
+    for _ in range(h):
+        nxt = []
+        for x in layer:
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+        layer = nxt
+    inside = set(layer)
+    u, v = min((u, v) for u in layer for v in adj[u] if v > u and v in inside)
     return _odd_cycle_from_conflict(u, v, parent)

@@ -12,14 +12,20 @@ clash edge (an edge whose ends share a color), since every odd cycle holds
 one, cut off at the shallowest edge-holding layer found so far.  Walking
 those BFS layers back from the ends of the edges inside the shallowest layer
 marks the vertices on shortest odd cycles, and one more BFS from the smallest
-of them gives the witness, so the remainder need not be claw-free or of
-maximum degree 2.
+of them, stopped at that layer, gives the witness, so the remainder need not
+be claw-free or of maximum degree 2.
 
-The loop works on one live map from side to vertex set and one remainder set,
-updated in place by each absorption.  Every absorption deletes a vertex from
-the remainder, so the loop ends after at most n steps with a bipartite
-remainder, or raises StuckOddCycle carrying the offending cycle and a claw
-search result (non-claw-free inputs are the expected cause of a stuck run).
+The loop works on one live map from side to vertex set and one live
+adjacency on g's own vertex ids, built once with every chosen vertex
+isolated.  Each absorption rewrites only the absorbed vertex's entry and its
+neighbours' entries and keeps the edge count by subtraction, so the
+remainder is never relabelled or rebuilt.  Isolated vertices hold no odd
+cycle and every order the search uses is an order of vertex ids, so the
+witness is the one the remainder relabelled onto 0..k-1 would give, mapped
+back.  Every absorption deletes a vertex from the remainder, so the loop
+ends after at most n steps with a bipartite remainder, or raises
+StuckOddCycle carrying the offending cycle and a claw search result
+(non-claw-free inputs are the expected cause of a stuck run).
 Only there, and at the normal return, is the state frozen into a
 ReductionState; the caller already holds the breaker's pair it started from.
 """
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StuckOddCycle
-from .graph import Graph, OddCycle, find_claw, induced_subgraph, shortest_odd_cycle, vertices_within
+from .graph import Graph, find_claw, induced_subgraph, shortest_odd_cycle, vertices_within
 from .triangle_break import PackingPair
 
 
@@ -68,6 +74,8 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
     """Absorb one vertex per shortest odd cycle until the remainder is bipartite."""
     ext = {"A": set(pair.a), "B": set(pair.b)}
     remaining = set(range(g.n)) - ext["A"] - ext["B"]
+    sub = induced_subgraph(g, remaining)
+    live, m = list(sub.adj), sub.m
     additions: list[Addition] = []
 
     def frozen() -> ReductionState:
@@ -75,16 +83,18 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
                               tuple(additions))
 
     while True:
-        sub, mapping = induced_subgraph(g, remaining)
-        witness = shortest_odd_cycle(sub)
-        if witness is None:
+        cycle = shortest_odd_cycle(Graph(g.n, tuple(live), m))
+        if cycle is None:
             return frozen(), additions
-        cycle: OddCycle = tuple(mapping[i] for i in witness)
         for v in cycle:
             side = addable_side(g, ext["A"], ext["B"], v)
             if side is not None:
                 ext[side].add(v)
                 remaining.discard(v)
+                for w in live[v]:
+                    live[w] = tuple([x for x in live[w] if x != v])
+                m -= len(live[v])
+                live[v] = ()
                 additions.append(Addition(v, side, len(cycle)))
                 break
         else:

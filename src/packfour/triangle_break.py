@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .errors import Stuck
-from .graph import Graph, Triangle, list_triangles, require_cubic, vertices_within
+from .graph import Graph, Triangle, list_triangles, require_cubic
 
 SIDE_A = 0
 SIDE_B = 1
@@ -117,7 +117,9 @@ class _Search:
             for v in t:
                 self.tri_by_vertex[v].append(i)
         self.wvec = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
-        self.ball2 = [vertices_within(g, [v], 2) for v in range(g.n)]
+        adj = g.adj
+        self.ball2 = [{v, *a, *chain.from_iterable(map(adj.__getitem__, a))}
+                      for v, a in enumerate(adj)]
         # the vertices of the triangles through each vertex, itself included
         self.mates = [{u for ti in ts for u in self.triangles[ti]} for ts in self.tri_by_vertex]
         self.sides = (set(a), set(b))

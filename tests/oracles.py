@@ -3,7 +3,8 @@
 Everything here is deliberately naive (Floyd-Warshall, triple scans,
 exhaustive DFS cycle enumeration) so that agreement with the package is
 meaningful.  Keep these free of imports from the modules under test other
-than the Graph and PackingPair containers and build_graph.
+than the Graph, PackingPair, Addition and ReductionState containers,
+build_graph and the error types.
 """
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
+from packfour.errors import StuckOddCycle
 from packfour.graph import Graph, build_graph
+from packfour.odd_cycle import Addition, ReductionState
 from packfour.triangle_break import PackingPair
 
 INF = float("inf")
@@ -218,6 +221,51 @@ def reference_shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     while i < min(len(pu), len(pv)) and pu[i] == pv[i]:
         i += 1
     return canon_cycle(pu[i - 1:] + pv[:i - 1:-1])
+
+
+def relabelled_subgraph(g: Graph, keep) -> tuple[Graph, list[int]]:
+    """The subgraph induced by keep on vertices 0..k-1, through build_graph,
+    and the increasing new -> old vertex map."""
+    mapping = sorted(set(keep))
+    new = {old: i for i, old in enumerate(mapping)}
+    edges = [(new[u], new[v]) for u, v in g.edges() if u in new and v in new]
+    return build_graph(len(mapping), edges), mapping
+
+
+def reference_reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list[Addition]]:
+    """The odd-cycle reducer's loop with the remainder rebuilt on 0..k-1
+    after every absorption and each witness from reference_shortest_odd_cycle.
+
+    A vertex joins side A when its radius-2 ball, read off the adjacency,
+    misses A, else side B when it misses B; the first cycle vertex that can
+    join is absorbed.  A cycle with none raises StuckOddCycle with the state,
+    the cycle and the first claw of brute_claws.
+    """
+    ext = {"A": set(pair.a), "B": set(pair.b)}
+    remaining = set(range(g.n)) - ext["A"] - ext["B"]
+    additions: list[Addition] = []
+
+    def frozen() -> ReductionState:
+        return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]), frozenset(remaining),
+                              tuple(additions))
+
+    while True:
+        sub, mapping = relabelled_subgraph(g, remaining)
+        witness = reference_shortest_odd_cycle(sub)
+        if witness is None:
+            return frozen(), additions
+        cycle = tuple(mapping[i] for i in witness)
+        for v in cycle:
+            ball = {v, *g.adj[v], *(w for u in g.adj[v] for w in g.adj[u])}
+            side = next((side for side in "AB" if not ball & ext[side]), None)
+            if side is not None:
+                ext[side].add(v)
+                remaining.discard(v)
+                additions.append(Addition(v, side, len(cycle)))
+                break
+        else:
+            claws = brute_claws(g)
+            raise StuckOddCycle(frozen(), cycle, claws[0] if claws else None)
 
 
 def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:

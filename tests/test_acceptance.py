@@ -25,11 +25,11 @@ from packfour.generators import (
     prism,
     random_cubic,
 )
-from packfour.graph import find_claw, induced_subgraph, is_cubic, list_triangles
+from packfour.graph import find_claw, induced_subgraph, is_cubic, list_triangles, vertices_within
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
 from packfour.pipeline import color_claw_free_cubic
-from packfour.triangle_break import break_triangles
+from packfour.triangle_break import _Search, break_triangles
 from packfour.odd_cycle import reduce_odd_cycles
 
 import oracles
@@ -162,7 +162,7 @@ def test_criterion_5_invariant_suites(corpus, capsys):
                 (ext_a if add.side == "A" else ext_b).add(add.vertex)
                 assert is_k_packing(g, ext_a, 2) and is_k_packing(g, ext_b, 2)
                 assert not (ext_a & ext_b)
-            sub, _ = induced_subgraph(g, state.remaining)
+            sub = induced_subgraph(g, state.remaining)
             assert list_triangles(sub) == []
             here = recompute_pair(g, pair.a, pair.b)
             assert (here.weight, here.surviving) == (pair.weight, 0)
@@ -223,3 +223,16 @@ def test_criterion_8_problem2_experiment(corpus, tmp_path, capsys):
         if summary["flagged"]:
             with capsys.disabled():
                 print(f"problem2 flagged graphs: {summary['flagged']}", flush=True)
+
+
+def test_ball_table_matches_vertices_within(corpus):
+    # the breaker's radius-2 balls, read straight off the adjacency, against
+    # the one general bounded-ball query, on every corpus graph and on seeded
+    # random cubic graphs and their inflations, K4 components among them
+    cases = list(corpus)
+    for n in (4, 8, 16, 30):
+        for seed in range(3):
+            g = random_cubic(n, seed=seed)
+            cases += [g, inflate(g), oracles.disjoint_union(k4(), g, k4())]
+    for g in cases:
+        assert _Search(g).ball2 == [vertices_within(g, [v], 2) for v in g.vertices()]

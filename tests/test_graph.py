@@ -155,34 +155,34 @@ def test_find_claw_agrees_with_brute(g):
 
 def test_induced_subgraph():
     g = prism()
-    sub, mapping = induced_subgraph(g, {1, 2, 4, 5})
-    assert mapping == [1, 2, 4, 5]
-    assert sub.n == 4
+    sub = induced_subgraph(g, {1, 2, 4, 5})
+    # same ids; 0 and 3 stay, isolated
+    assert sub.n == 6 and sub.m == 4
+    assert sub.adj[0] == sub.adj[3] == ()
     # surviving edges: 1-2, 1-4, 2-5, 4-5
-    assert list(sub.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert list(sub.edges()) == [(1, 2), (1, 4), (2, 5), (4, 5)]
 
 
 @given(graphs(max_n=9))
 @settings(max_examples=60)
 def test_induced_subgraph_edge_membership(g):
-    keep = [v for v in g.vertices() if v % 2 == 0]
-    sub, mapping = induced_subgraph(g, keep)
-    assert mapping == sorted(keep)
-    back = {i: mapping[i] for i in range(sub.n)}
-    original = {(u, v) for u, v in g.edges() if u in set(keep) and v in set(keep)}
-    assert {(back[u], back[v]) for u, v in sub.edges()} == original
+    keep = {v for v in g.vertices() if v % 2 == 0}
+    sub = induced_subgraph(g, keep)
+    assert sub.n == g.n
+    assert all(sub.adj[v] == () for v in g.vertices() if v not in keep)
+    original = {(u, v) for u, v in g.edges() if u in keep and v in keep}
+    assert set(sub.edges()) == original
+    assert sub.m == len(original)
 
 
 @given(graphs(max_n=10), st.data())
 @settings(max_examples=80)
 def test_induced_subgraph_equals_validated_build(g, data):
-    # the direct relabelling must equal a round trip through build_graph
+    # the direct filtering must equal a round trip through build_graph
     mask = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
     keep = [v for v in g.vertices() if mask[v]]
-    sub, mapping = induced_subgraph(g, keep)
-    new = {old: i for i, old in enumerate(mapping)}
-    edges = [(new[u], new[v]) for u, v in g.edges() if u in new and v in new]
-    assert sub == build_graph(len(mapping), edges)
+    edges = [(u, v) for u, v in g.edges() if mask[u] and mask[v]]
+    assert induced_subgraph(g, keep) == build_graph(g.n, edges)
 
 
 def test_induced_subgraph_rejects_out_of_range():
@@ -259,6 +259,17 @@ def test_shortest_odd_cycle_witness_matches_scan(g):
     assert shortest_odd_cycle(g) == oracles.reference_shortest_odd_cycle(g)
 
 
+def assert_witness_on_own_ids(g, keep):
+    # the witness on the subgraph kept on g's ids equals the reference's,
+    # both on those ids and on the subgraph relabelled onto 0..k-1, mapped back
+    sub = induced_subgraph(g, keep)
+    packed, mapping = oracles.relabelled_subgraph(g, keep)
+    want = oracles.reference_shortest_odd_cycle(packed)
+    got = shortest_odd_cycle(sub)
+    assert got == oracles.reference_shortest_odd_cycle(sub)
+    assert got == (None if want is None else tuple(mapping[i] for i in want))
+
+
 @pytest.mark.parametrize("keep_ratio", [0.5, 0.8, 1.0])
 def test_shortest_odd_cycle_witness_on_cubic_subgraphs(keep_ratio):
     # induced subgraphs of cubic graphs mix degrees 0-3 and long odd cycles
@@ -266,8 +277,7 @@ def test_shortest_odd_cycle_witness_on_cubic_subgraphs(keep_ratio):
         for seed in range(5):
             g = random_cubic(n, seed=seed)
             keep = random.Random(seed).sample(range(n), round(keep_ratio * n))
-            sub, _ = induced_subgraph(g, keep)
-            assert shortest_odd_cycle(sub) == oracles.reference_shortest_odd_cycle(sub)
+            assert_witness_on_own_ids(g, keep)
 
 
 @pytest.mark.parametrize("n, seed", [(30, 1), (60, 0)])
@@ -280,8 +290,7 @@ def test_shortest_odd_cycle_witness_on_reducer_remainders(n, seed):
     for add in [None] + additions:
         if add is not None:
             remaining.discard(add.vertex)
-        sub, _ = induced_subgraph(g, remaining)
-        assert shortest_odd_cycle(sub) == oracles.reference_shortest_odd_cycle(sub)
+        assert_witness_on_own_ids(g, remaining)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +352,7 @@ def test_shortest_odd_cycle_searches_at_most_clash_edges(searched):
     for add in [None] + additions:
         if add is not None:
             remaining.discard(add.vertex)
-        sub, _ = induced_subgraph(g, remaining)
+        sub = induced_subgraph(g, remaining)
         searched.clear()
         shortest_odd_cycle(sub)
         assert len(searched) <= _clash_edges(sub)

@@ -10,6 +10,7 @@ from packfour.packing import SSpec, verify_spacking
 from packfour.pipeline import color_claw_free_cubic
 from packfour.triangle_break import break_triangles
 
+import oracles
 from oracles import is_k_packing
 
 
@@ -98,6 +99,44 @@ def test_reduce_petersen_sticks_with_claw_witness():
         assert addable_side(g, st.ext_a, st.ext_b, v) is None
 
 
+def reduction_outcome(reduce, g, pair):
+    # what a reducer returns, or what its StuckOddCycle carries
+    try:
+        return reduce(g, pair)
+    except StuckOddCycle as e:
+        return ("stuck", e.state, e.cycle, e.claw)
+
+
+def test_reduce_matches_reference_reducer():
+    # the one live adjacency against the loop that rebuilds the remainder on
+    # 0..k-1 after every absorption: the same additions and the same state,
+    # or the same stuck cycle and state
+    # random_cubic(42, seed=5) is a clawed graph the reducer sticks on
+    cases = [problem1_family(30, 1), problem1_family(60, 0), random_cubic(42, seed=5)]
+    for i in range(26):
+        g = random_cubic(20 + 4 * i, seed=i)
+        assert find_claw(g) is not None
+        cases.append(g)
+    outcomes = []
+    for g in cases:
+        pair, _ = break_triangles(g)
+        got = reduction_outcome(reduce_odd_cycles, g, pair)
+        assert got == reduction_outcome(oracles.reference_reduce_odd_cycles, g, pair)
+        outcomes.append(got[0] if got[0] == "stuck" else len(got[1]))
+    assert "stuck" in outcomes and max(o for o in outcomes if o != "stuck") > 20
+
+
+def test_forced_petersen_sticks_like_reference_reducer():
+    g = petersen()
+    pair, _ = break_triangles(g)
+    with pytest.raises(StuckOddCycle) as want:
+        oracles.reference_reduce_odd_cycles(g, pair)
+    with pytest.raises(StuckOddCycle) as got:
+        color_claw_free_cubic(g, force=True)
+    assert (got.value.cycle, got.value.state, got.value.claw) == (
+        want.value.cycle, want.value.state, want.value.claw)
+
+
 def check_reduction(g, pair, state, additions):
     # extensions contain their bases and stay disjoint 2-packings
     assert set(pair.a) <= set(state.ext_a)
@@ -110,7 +149,7 @@ def check_reduction(g, pair, state, additions):
         assert add.cycle_length % 2 == 1 and add.cycle_length >= 3
         assert add.vertex not in state.remaining
     # the remainder is bipartite and triangle-free
-    sub, _ = induced_subgraph(g, state.remaining)
+    sub = induced_subgraph(g, state.remaining)
     color, odd = two_coloring(sub)
     assert odd == [] and all(color[u] != color[v] for u, v in sub.edges())
     assert list_triangles(sub) == []
