@@ -66,21 +66,16 @@ def _lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _sniff_format(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line:
-            return "edgelist" if any(ch.isspace() for ch in line) else "graph6"
-    return "graph6"
-
-
-def _load_graphs(text: str, fmt: str) -> list[Graph]:
-    """Parse input into graphs; ParseError and graph6 errors propagate."""
+def _graph_items(text: str, fmt: str):
+    """(parse, items): parse_graph6 and the non-blank lines, stripped, or
+    parse_edge_list and the whole text as the one item.  fmt "auto" takes the
+    text for an edge list when its first non-blank line holds whitespace."""
+    lines = _lines(text)
     if fmt == "auto":
-        fmt = _sniff_format(text)
+        fmt = "edgelist" if lines and any(ch.isspace() for ch in lines[0]) else "graph6"
     if fmt == "edgelist":
-        return [parse_edge_list(text)]
-    return [parse_graph6(line) for line in _lines(text)]
+        return parse_edge_list, [text]
+    return parse_graph6, lines
 
 
 def _default_seed(value: int | None) -> int:
@@ -95,10 +90,10 @@ def _default_seed(value: int | None) -> int:
         raise BadParameter(f"PACKFOUR_SEED is not an integer: {env!r}") from None
 
 
-def _color_one(line_or_graph, force: bool) -> tuple[str, str]:
+def _color_one(item: str, parse, force: bool) -> tuple[str, str]:
     """(status, payload): ok/cert, or parse|hypothesis|stuck with a message."""
     try:
-        g = parse_graph6(line_or_graph) if isinstance(line_or_graph, str) else line_or_graph
+        g = parse(item)
     except PackfourError as e:
         return ("parse", str(e))
     try:
@@ -114,17 +109,8 @@ _EXIT_BY_STATUS = {"ok": 0, "parse": 2, "hypothesis": 3, "stuck": 4}
 
 
 def cmd_color(args) -> int:
-    text = _read_text(args.input)
-    fmt = args.format if args.format != "auto" else _sniff_format(text)
-    if fmt == "edgelist":
-        try:
-            work: list = [parse_edge_list(text)]
-        except PackfourError as e:
-            print(f"graph 0: parse error: {e}", file=sys.stderr)
-            return 2
-    else:
-        work = _lines(text)
-    results = ordered_map(partial(_color_one, force=args.force), work, args.jobs)
+    parse, items = _graph_items(_read_text(args.input), args.format)
+    results = ordered_map(partial(_color_one, parse=parse, force=args.force), items, args.jobs)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     exit_code = 0
     try:
@@ -133,7 +119,7 @@ def cmd_color(args) -> int:
             if status == "ok":
                 print(payload, file=out, flush=True)
                 if args.dot:
-                    _write_dot_file(args.dot, i, len(work), payload)
+                    _write_dot_file(args.dot, i, len(items), payload)
             else:
                 print(json.dumps({"index": i, "error": status, "detail": payload},
                                  sort_keys=True), file=out, flush=True)
@@ -156,7 +142,8 @@ def _write_dot_file(base: str, index: int, total: int, cert_text: str) -> None:
 
 def cmd_verify(args) -> int:
     try:
-        graphs = _load_graphs(_read_text(args.graph), args.format)
+        parse, items = _graph_items(_read_text(args.graph), args.format)
+        graphs = [parse(item) for item in items]
     except PackfourError as e:
         print(f"graph input: {e}", file=sys.stderr)
         return 1
@@ -220,7 +207,8 @@ def _gen_graphs(args) -> list[Graph]:
     if args.family == "inflate":
         base_arg = args.base
         if os.path.exists(base_arg):
-            graphs = _load_graphs(_read_text(base_arg), "auto")
+            parse, items = _graph_items(_read_text(base_arg), "auto")
+            graphs = [parse(item) for item in items]
             return [inflate(g) for g in graphs]
         return [inflate(named_graph(base_arg))]
     if args.family == "necklace":

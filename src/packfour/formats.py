@@ -75,16 +75,14 @@ def parse_graph6(line: str) -> Graph:
     raw = base64.b64decode(b64 + b"A" * (-len(b64) % 4))
     bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     adj: list[list[int]] = [[] for _ in range(n)]
-    m = 0
     k = bits.find("1")
     while 0 <= k < nbits:
         v = (1 + isqrt(8 * k + 1)) // 2
         u = k - v * (v - 1) // 2
         adj[u].append(v)
         adj[v].append(u)
-        m += 1
         k = bits.find("1", k + 1)
-    return Graph(n=n, adj=tuple(map(tuple, adj)), m=m)
+    return Graph(n=n, adj=tuple(map(tuple, adj)))
 
 
 def write_graph6(g: Graph) -> str:

@@ -10,7 +10,7 @@ import random
 import re
 
 from .errors import BadParameter, RetryLimit, UnknownName
-from .graph import Graph, build_graph, components, is_cubic, require_cubic, triangle_membership_counts
+from .graph import INF, Graph, bfs_distances, build_graph, is_cubic, list_triangles, require_cubic
 
 
 def k4() -> Graph:
@@ -118,7 +118,7 @@ def random_cubic(n: int, seed: int, connected: bool = False,
         if not ok:
             continue
         g = build_graph(n, sorted(edges))
-        if connected and len(components(g)) != 1:
+        if connected and INF in bfs_distances(g, 0):
             continue
         return g
     raise RetryLimit(n, max_retries)
@@ -126,11 +126,11 @@ def random_cubic(n: int, seed: int, connected: bool = False,
 
 def vertices_on_cycle_3_or_4(g: Graph) -> list[bool]:
     """Per-vertex scan: does the vertex lie on some cycle of length 3 or 4?"""
-    counts = triangle_membership_counts(g)
+    on_triangle = {v for t in list_triangles(g) for v in t}
     nbr_sets = [set(a) for a in g.adj]
     out = []
     for v in range(g.n):
-        if counts[v] > 0:
+        if v in on_triangle:
             out.append(True)
             continue
         on_c4 = False

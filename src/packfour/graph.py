@@ -25,7 +25,10 @@ OddCycle = tuple[int, ...]
 class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
-    m: int
+
+    @property
+    def m(self) -> int:
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -64,8 +67,7 @@ def build_graph(n: int, edges) -> Graph:
             raise DuplicateEdge(u, v)
         nbrs[u].add(v)
         nbrs[v].add(u)
-    adj = tuple(tuple(sorted(s)) for s in nbrs)
-    return Graph(n=n, adj=adj, m=sum(map(len, adj)) // 2)
+    return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def bfs_distances(g: Graph, src: int) -> list[float]:
@@ -113,14 +115,6 @@ def list_triangles(g: Graph) -> list[Triangle]:
     return out
 
 
-def triangle_membership_counts(g: Graph) -> list[int]:
-    counts = [0] * g.n
-    for t in list_triangles(g):
-        for v in t:
-            counts[v] += 1
-    return counts
-
-
 def is_cubic(g: Graph) -> bool:
     return all(len(a) == 3 for a in g.adj)
 
@@ -160,28 +154,7 @@ def induced_subgraph(g: Graph, keep) -> Graph:
         inside[v] = True
     adj = tuple(tuple([w for w in a if inside[w]]) if inside[v] else ()
                 for v, a in enumerate(g.adj))
-    return Graph(n=g.n, adj=adj, m=sum(map(len, adj)) // 2)
-
-
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by smallest member."""
-    seen = [False] * g.n
-    out = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    q.append(v)
-        out.append(sorted(comp))
-    return out
+    return Graph(n=g.n, adj=adj)
 
 
 def _canonical_cycle(seq: list[int]) -> OddCycle:

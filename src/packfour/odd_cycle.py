@@ -18,13 +18,12 @@ be claw-free or of maximum degree 2.
 The loop works on one live map from side to vertex set and one live
 adjacency on g's own vertex ids, built once with every chosen vertex
 isolated.  Each absorption rewrites only the absorbed vertex's entry and its
-neighbours' entries and keeps the edge count by subtraction, so the
-remainder is never relabelled or rebuilt.  Isolated vertices hold no odd
-cycle and every order the search uses is an order of vertex ids, so the
-witness is the one the remainder relabelled onto 0..k-1 would give, mapped
-back.  Every absorption deletes a vertex from the remainder, so the loop
-ends after at most n steps with a bipartite remainder, or raises
-StuckOddCycle carrying the offending cycle and a claw search result
+neighbours' entries, so the remainder is never relabelled or rebuilt.
+Isolated vertices hold no odd cycle and every order the search uses is an
+order of vertex ids, so the witness is the one the remainder relabelled onto
+0..k-1 would give, mapped back.  Every absorption deletes a vertex from the
+remainder, so the loop ends after at most n steps with a bipartite remainder,
+or raises StuckOddCycle carrying the offending cycle and a claw search result
 (non-claw-free inputs are the expected cause of a stuck run).
 Only there, and at the normal return, is the state frozen into a
 ReductionState; the caller already holds the breaker's pair it started from.
@@ -74,8 +73,7 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
     """Absorb one vertex per shortest odd cycle until the remainder is bipartite."""
     ext = {"A": set(pair.a), "B": set(pair.b)}
     remaining = set(range(g.n)) - ext["A"] - ext["B"]
-    sub = induced_subgraph(g, remaining)
-    live, m = list(sub.adj), sub.m
+    live = list(induced_subgraph(g, remaining).adj)
     additions: list[Addition] = []
 
     def frozen() -> ReductionState:
@@ -83,7 +81,7 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
                               tuple(additions))
 
     while True:
-        cycle = shortest_odd_cycle(Graph(g.n, tuple(live), m))
+        cycle = shortest_odd_cycle(Graph(g.n, tuple(live)))
         if cycle is None:
             return frozen(), additions
         for v in cycle:
@@ -93,7 +91,6 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
                 remaining.discard(v)
                 for w in live[v]:
                     live[w] = tuple([x for x in live[w] if x != v])
-                m -= len(live[v])
                 live[v] = ()
                 additions.append(Addition(v, side, len(cycle)))
                 break

@@ -64,6 +64,25 @@ def test_color_parse_error_exit_2(tmp_path, capsys):
     assert "graph 1: parse" in err
 
 
+@pytest.mark.parametrize("text,pin", [("3 1\n0 5\n", []),
+                                      ("C~\n", ["--format", "edgelist"])],
+                         ids=["bad-edgelist", "graph6-pinned-edgelist"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_color_edgelist_parse_error_record(tmp_path, capsys, text, pin, to_file):
+    # an edge list is graph 0 of a one-graph batch, so it fails like a bad graph6 line
+    inp = write(tmp_path, "in.txt", text)
+    out_path = tmp_path / "certs.jsonl"
+    code, out, err = run(capsys, "color", inp, *pin,
+                         *(["--out", str(out_path)] if to_file else []))
+    assert code == 2
+    if to_file:
+        assert out == ""
+        out = out_path.read_text()
+    record = json.loads(out)
+    assert record == {"index": 0, "error": "parse", "detail": record["detail"]}
+    assert record["detail"] and err == f"graph 0: parse: {record['detail']}\n"
+
+
 def test_color_hypothesis_exit_3(tmp_path, capsys):
     inp = write(tmp_path, "pet.g6", write_graph6(petersen()) + "\n")
     code, out, err = run(capsys, "color", inp)
@@ -125,13 +144,13 @@ def test_color_streams_each_certificate(tmp_path, capsys, monkeypatch, to_file):
     color_one = cli._color_one
     checked = []
 
-    def color_after_first_is_out(line, force):
+    def color_after_first_is_out(line, **kw):
         if line == second:
             # the first certificate is already written when the second graph starts
             text = out_path.read_text() if to_file else capsys.readouterr().out
             assert json.loads(text)["n"] == 4
             checked.append(line)
-        return color_one(line, force)
+        return color_one(line, **kw)
 
     monkeypatch.setattr(cli, "_color_one", color_after_first_is_out)
     assert main(["color", inp] + (["--out", str(out_path)] if to_file else [])) == 0

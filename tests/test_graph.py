@@ -14,13 +14,11 @@ from packfour.graph import (
     INF,
     bfs_distances,
     build_graph,
-    components,
     find_claw,
     induced_subgraph,
     is_cubic,
     list_triangles,
     shortest_odd_cycle,
-    triangle_membership_counts,
     two_coloring,
     vertices_within,
 )
@@ -117,12 +115,6 @@ def test_list_triangles_agrees_with_brute(g):
     assert list_triangles(g) == oracles.brute_triangles(g)
 
 
-def test_triangle_counts():
-    assert triangle_membership_counts(k4()) == [3, 3, 3, 3]
-    assert triangle_membership_counts(prism()) == [1] * 6
-    assert triangle_membership_counts(petersen()) == [0] * 10
-
-
 def test_is_cubic():
     assert is_cubic(k4())
     assert is_cubic(petersen())
@@ -189,12 +181,6 @@ def test_induced_subgraph_rejects_out_of_range():
     for bad in (6, -1):
         with pytest.raises(VertexOutOfRange):
             induced_subgraph(prism(), [0, bad])
-
-
-def test_components():
-    g = oracles.disjoint_union(k4(), prism())
-    assert components(g) == [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]]
-    assert components(build_graph(3, [])) == [[0], [1], [2]]
 
 
 def test_bipartition_frozen():

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 
+import networkx as nx
 import pytest
 
 from packfour import triangle_break
@@ -19,7 +20,7 @@ from packfour.generators import (
     prism,
     random_cubic,
 )
-from packfour.graph import build_graph, components, triangle_membership_counts
+from packfour.graph import build_graph
 from packfour.triangle_break import (
     HEAVY,
     LIGHT,
@@ -37,8 +38,10 @@ from oracles import check_packing_pair, recompute_pair, surviving_triangles
 
 @functools.lru_cache(maxsize=64)
 def k4_component_vertices(g) -> frozenset[int]:
+    nxg = nx.empty_graph(g.n)
+    nxg.add_edges_from(g.edges())
     out: set[int] = set()
-    for comp in components(g):
+    for comp in nx.connected_components(nxg):
         if len(comp) == 4 and all(g.has_edge(u, v)
                                   for u, v in itertools.combinations(comp, 2)):
             out.update(comp)
@@ -151,8 +154,8 @@ def reference_moves(g, pair, t):
     """Every move shape around t, brute force, kept when valid and strictly
     improving, in Move.sort_key order."""
     d = oracles.cached_distances(g)
-    counts = triangle_membership_counts(g)
-    near_t = [v for v in range(g.n) if counts[v] >= 1 and min(d[v][x] for x in t) <= 3]
+    on_triangle = {v for tri in oracles.cached_triangles(g) for v in tri}
+    near_t = [v for v in sorted(on_triangle) if min(d[v][x] for x in t) <= 3]
     a, b = set(pair.a), set(pair.b)
     out = []
     for k in (1, 2):
@@ -427,8 +430,8 @@ def test_break_invariants_random_cubic(n, seed):
 
 def all_valid_pairs(g, fixed_a=frozenset(), fixed_b=frozenset()):
     """Every valid packing pair extending the fixed placement, brute force."""
-    free = [v for v, c in enumerate(triangle_membership_counts(g))
-            if c >= 1 and v not in fixed_a and v not in fixed_b
+    free = [v for v in sorted({v for t in oracles.cached_triangles(g) for v in t})
+            if v not in fixed_a and v not in fixed_b
             and v not in k4_component_vertices(g)]
     for assignment in itertools.product((None, "a", "b"), repeat=len(free)):
         a = set(fixed_a) | {v for v, x in zip(free, assignment) if x == "a"}
