@@ -31,9 +31,14 @@ first needs it: the members of its side within distance 2 (condition (1)),
 and on the other side the vertex itself when it switches and the chosen
 vertices sharing a triangle with it (condition (3)).  Items whose forced
 removals fall twice on one side are dropped, and two additions on one side
-within distance 2, or on one triangle, are never paired.  Any removal set
-holding the forced removals, at most one per side, then satisfies (1)-(3),
-so the valid sets are generated directly, by weight, rather than filtered.
+within distance 2, or on one triangle, are never paired.  A pair merges its
+items' forced removals side by side: two distinct removals on one side drop
+it, and a removal both items force counts once.  Any removal set holding the
+forced removals, at most one per side, then satisfies (1)-(3), so a combo
+whose additions outweigh its forced removals has a move (the forced removals
+alone), and one that does not has none.  Only a combo with a move reaches
+the removal-set generator, which builds the valid sets directly, by weight,
+rather than filtering them; a step enters it once.
 
 Complete-graph components on four vertices cannot satisfy (3) with two chosen
 vertices (any two of their vertices share a triangle), so each K4 component is
@@ -173,15 +178,19 @@ class _Search:
         and (3) once, on demand, in item order (_forced).  Pairs on one side
         within distance 2, sharing a triangle, or too light to outweigh the
         first item's forced removals are skipped before the second item is
-        settled; _exchanges generates each combo's valid removal sets
-        directly.  The generator reads the live state, so it must not be
-        resumed after a move is played.
+        settled; an item whose spare weight no HEAVY partner can make up
+        pairs with nothing.  A pair whose forced removals are two distinct
+        vertices on one side is rejected, and a removal both items force is
+        removed, and weighed, once.  A combo reaches _exchanges only when its
+        additions outweigh its forced removals, so every call yields.  The
+        generator reads the live state, so it must not be resumed after a
+        move is played.
         """
         ball2, mates, sides, w = self.ball2, self.mates, self.sides, self.wvec
         near = set().union(*(ball2[u] for u in {u for x in t for u in self.g.adj[x]}))
         items = [(v, side) for v in sorted(near) if w[v]
                  for side in (SIDE_A, SIDE_B) if v not in sides[side]]
-        forced: dict[tuple[int, int], frozenset | None] = {}
+        forced: dict[tuple[int, int], tuple[int | None, int | None, int] | None] = {}
 
         def settled(x):
             if x not in forced:
@@ -192,44 +201,65 @@ class _Search:
             fx = settled(x)
             if fx is None:
                 continue
-            yield from self._exchanges((x,), fx)
+            ra, rb, weight = fx
             v, side = x
-            spare = w[v] - sum(w[r] for r, _ in fx)
+            spare = w[v] - weight
+            if spare > 0:
+                yield from self._exchanges((x,), ra, rb, spare)
+            if spare + HEAVY <= 0:
+                continue  # no partner outweighs fx
             for y in items[i + 1:]:
                 u = y[0]
                 if u in mates[v] or (y[1] == side and u in ball2[v]) or w[u] + spare <= 0:
                     continue  # same vertex or (3), (1), or no gain over fx
                 fy = settled(y)
-                if fy is not None:
-                    yield from self._exchanges((x, y), fx | fy)
+                if fy is None:
+                    continue
+                sa, sb, sweight = fy
+                slack = spare + w[u] - sweight
+                if ra is not None and sa is not None:
+                    if ra != sa:
+                        continue  # two removals on side a
+                    slack += w[ra]  # forced by both, removed once
+                if rb is not None and sb is not None:
+                    if rb != sb:
+                        continue  # two removals on side b
+                    slack += w[rb]
+                if slack > 0:
+                    yield from self._exchanges(
+                        (x, y), sa if ra is None else ra, sb if rb is None else rb, slack)
 
-    def _forced(self, v: int, side: int) -> frozenset | None:
-        """The removals (vertex, side) that adding v to side forces, or None
-        when two fall on one side: the members of its side within distance 2
-        (condition (1)), and on the other side v itself when it switches and
-        the chosen vertices sharing a triangle with v (condition (3))."""
+    def _forced(self, v: int, side: int) -> tuple[int | None, int | None, int] | None:
+        """The removals that adding v to side forces, as (removal from a,
+        removal from b, their total weight), each removal None when there is
+        none; or None when two fall on one side.  They are the members of its
+        side within distance 2 (condition (1)), and on the other side v itself
+        when it switches and the chosen vertices sharing a triangle with v
+        (condition (3))."""
         clash = self.sides[side] & self.ball2[v]
         mates = self.sides[1 - side] & self.mates[v]
         if len(clash) > 1 or len(mates) > 1:
             return None
-        return frozenset([(u, side) for u in clash] + [(u, 1 - side) for u in mates])
+        own, other = next(iter(clash), None), next(iter(mates), None)
+        weight = sum(self.wvec[u] for u in clash | mates)
+        return (own, other, weight) if side == SIDE_A else (other, own, weight)
 
-    def _exchanges(self, combo, must) -> Iterator[Move]:
-        """The moves adding combo, in removal order.  Every removal set that
-        holds all forced removals must, at most one vertex per side, each
-        within distance 2 of an addition, satisfies (1)-(3), so only weight
-        decides: the sets are must plus an extra chosen vertex on any side
-        must leaves free, while the additions outweigh the removals."""
+    def _exchanges(self, combo, ra, rb, slack) -> Iterator[Move]:
+        """The moves adding combo, in removal order, given its forced
+        removals ra and rb (None on a side with none) and slack > 0, the
+        additions' weight less theirs.  Every removal set that holds the
+        forced removals, at most one vertex per side, each within distance 2
+        of an addition, satisfies (1)-(3), so only weight decides: the sets
+        are the forced removals plus an extra chosen vertex on any side they
+        leave free, while the additions outweigh the removals.  The forced
+        removals alone are such a set, so the first move always exists."""
         w = self.wvec
-        taken = {side for _, side in must}
-        slack = sum(w[v] for v, _ in combo) - sum(w[r] for r, _ in must)
-        if len(taken) < len(must) or slack <= 0:
-            return
+        must = [(r, side) for r, side in ((ra, SIDE_A), (rb, SIDE_B)) if r is not None]
         near = set().union(*(self.ball2[v] for v, _ in combo))
-        extras = [(r, side) for side in (SIDE_A, SIDE_B) if side not in taken
-                  for r in self.sides[side] & near if w[r] < slack]
-        sets = [must] + [must | {x} for x in extras] + [
-            must | {x, y} for x, y in combinations(extras, 2)
+        free = [side for side, r in ((SIDE_A, ra), (SIDE_B, rb)) if r is None]
+        extras = [(r, side) for side in free for r in self.sides[side] & near if w[r] < slack]
+        sets = [must] + [must + [x] for x in extras] + [
+            must + [x, y] for x, y in combinations(extras, 2)
             if x[1] != y[1] and w[x[0]] + w[y[0]] < slack]
         add_a = tuple(v for v, side in combo if side == SIDE_A)
         add_b = tuple(v for v, side in combo if side == SIDE_B)

@@ -131,11 +131,11 @@ def test_enumerate_first_moves_frozen():
     assert first == Move(add_a=(3,), add_b=(0,), remove_a=0)
 
 
-def mid_run(g):
-    """The sides a, b halfway through break_triangles(g), and their first
-    surviving triangle."""
+def mid_run(g, part=2):
+    """The sides a, b after the first 1/part of break_triangles(g)'s steps
+    (halfway by default), and their first surviving triangle."""
     _, trace = break_triangles(g)
-    a, b = sides_after(trace[:len(trace) // 2])
+    a, b = sides_after(trace[:len(trace) // part])
     return a, b, surviving_triangles(g, recompute_pair(g, a, b))[0]
 
 
@@ -264,6 +264,81 @@ def test_enumerate_cases_reach_every_removal_rule():
     assert any(whys == [set(), set()] for _, whys in moves)
 
 
+def reference_forced(g, a, b, v, side):
+    """The removals that adding v to side ("a" or "b") forces, as (vertex,
+    side) pairs, by brute force: the members of that side within distance 2
+    of v, and on the other side v itself and the chosen vertices sharing a
+    triangle with v."""
+    d = oracles.cached_distances(g)
+    tris = oracles.cached_triangles(g)
+    own, other, flip = (a, b, "b") if side == "a" else (b, a, "a")
+    return ({(r, side) for r in own if d[r][v] <= 2}
+            | {(r, flip) for r in other if any({r, v} <= set(tri) for tri in tris)})
+
+
+def merge_rules(g, pair, t, moves):
+    """The rules for merging two additions' forced removals that the
+    reference moves around t reach.  Brute force over pairs of addition
+    items (vertex, side) near t, in Move.sort_key order, that a move may
+    hold together and that each force at most one removal per side:
+      "collision": they force distinct removals on one side, so no move adds
+        both, though the additions outweigh all the removals they force;
+      "shared": they force one removal in common, and a move adds both,
+        which a second count of that removal would outweigh;
+      "heavy": the first item's forced removals outweigh it by exactly 1,
+        and a move adds it together with a HEAVY second item."""
+    d = oracles.cached_distances(g)
+    tris = oracles.cached_triangles(g)
+
+    def weight(vs):
+        return recompute_pair(g, set(vs), ()).weight
+
+    def vertices(removals):
+        return {r for r, _ in removals}
+
+    adding_both = {(m.add_a, m.add_b) for m in moves}
+    near_t = [v for v in sorted({v for tri in tris for v in tri}) if min(d[v][x] for x in t) <= 3]
+    items = [(v, s) for v in near_t for s in "ab" if v not in (pair.a if s == "a" else pair.b)]
+    forced = {x: reference_forced(g, pair.a, pair.b, *x) for x in items}
+    rules = set()
+    for x, y in itertools.combinations(items, 2):
+        (v, sx), (u, sy) = x, y
+        fx, fy = forced[x], forced[y]
+        if (u == v or any({u, v} <= set(tri) for tri in tris) or (sx == sy and d[u][v] <= 2)
+                or len(vertices(fx)) != len({s for _, s in fx})
+                or len(vertices(fy)) != len({s for _, s in fy})):
+            continue  # never held together, or one item is dropped alone
+        both = (tuple(z for z, s in (x, y) if s == "a"), tuple(z for z, s in (x, y) if s == "b"))
+        if len({s for _, s in fx | fy}) < len(fx | fy):
+            assert both not in adding_both
+            if weight({v, u}) > weight(vertices(fx | fy)):
+                rules.add("collision")
+        elif both in adding_both:
+            if fx & fy and weight({v, u}) <= weight(vertices(fx)) + weight(vertices(fy)):
+                rules.add("shared")
+            if weight({v}) - weight(vertices(fx)) == -1 and weight({u}) == HEAVY:
+                rules.add("heavy")
+    return rules
+
+
+@pytest.mark.parametrize("make,part,rule", [
+    (lambda: oracles.diamond_strings(40, 1, 0.3, 5), 2, "collision"),
+    (lambda: inflate(random_cubic(8, seed=3)), 4, "shared"),
+    (lambda: oracles.diamond_strings(40, 1, 0.3, 0), 4, "heavy"),
+])
+def test_enumerate_cases_reach_every_merge_rule(make, part, rule):
+    # the pair merge in improving_moves rejects a combo whose additions force
+    # two distinct removals on one side, counts a removal forced by both
+    # additions once, and pairs a first item with spare weight -1 only with
+    # HEAVY partners; each case reaches one of these rules
+    g = make()
+    a, b, t = mid_run(g, part)
+    pair = recompute_pair(g, a, b)
+    moves = reference_moves(g, pair, t)
+    assert rule in merge_rules(g, pair, t, moves)
+    assert list(enumerate_improving_moves(g, pair, t)) == moves
+
+
 def test_break_k4_frozen():
     pair, trace = break_triangles(k4())
     assert (sorted(pair.a), sorted(pair.b)) == ([0], [1])
@@ -346,18 +421,23 @@ def test_stuck_carries_the_pair_and_first_survivor(monkeypatch, k):
 
 
 # sha256 of the trace records of break_triangles(diamond_strings(base_n, 1, 0.3, 7)),
-# taken from the breaker that rescanned every triangle on every step
+# taken from the breaker that rescanned every triangle on every step (n ~ 10^3
+# and 10^4) and from the one whose removal-set generator also rejected combos
+# (n ~ 10^5)
 DIAMOND_STRING_TRACES = {
     160: (996, 418, "30ffaea98b941dcc320bc89825c34c0de5c93ddf70e344fdc3b39ca6586d2ea2"),
     1600: (10720, 4560, "6f2a52eb8f31f457891c87b2c22d78eb2c97a2eec2c31e2e2cb6d49dc71cf78a"),
+    16000: (106128, 45064, "04b3469b87ca560f99e76282ab5f831d315f9e6adcf459aa94f05403e66487e7"),
 }
 
 
 @pytest.mark.parametrize("base_n", sorted(DIAMOND_STRING_TRACES))
 def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
-    # counts, not timings: addition items settled and combos examined per
-    # step stay below a constant from n ~ 10^3 to n ~ 10^4, and the pair is
-    # built whole only at the end
+    # counts, not timings: addition items settled per step stay below a
+    # constant from n ~ 10^3 to n ~ 10^5, each step hands exactly one combo
+    # to the removal-set generator (these graphs have no K4 component, so
+    # every step searches, and only a combo with a move reaches it), and the
+    # pair is built whole only at the end
     g = oracles.diamond_strings(base_n, 1, 0.3, 7)
     forced, exchanges = _Search._forced, _Search._exchanges
     counts = {"settled": 0, "combos": 0, "pairs": 0}
@@ -382,7 +462,7 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
     n, steps, digest = DIAMOND_STRING_TRACES[base_n]
     assert (g.n, len(trace), pair.surviving) == (n, steps, 0)
     assert counts["settled"] <= 12 * steps
-    assert counts["combos"] <= 16 * steps
+    assert counts["combos"] == steps
     assert counts["pairs"] == 1
     records = json.dumps([am.to_record() for am in trace], sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == digest
