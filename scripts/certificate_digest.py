@@ -1,0 +1,76 @@
+"""Check that the pipeline still writes byte-identical certificates.
+
+Colors a fixed, seeded set of graphs from packfour.generators and compares
+the SHA-256 over the per-certificate SHA-256 digests, in the order below,
+with the value pinned here.  Imports nothing but the standard library and
+the package under ../src, so it runs on any CPython the package supports,
+without the test dependencies:
+
+    python scripts/certificate_digest.py
+
+Prints the digest and the number of certificates; exits 0 when the digest
+matches the pinned one and 1 when it does not.  A change to the certificates
+that is meant (a different move order, witness or certificate field) has to
+re-pin PINNED and say why.
+
+The set: the named claw-free graphs, diamond necklaces, triangle inflations
+of seeded random cubic graphs, and clawed problem1 gadgets colored with
+force, the only inputs here on which the odd-cycle reducer absorbs vertices.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from packfour.generators import (  # noqa: E402
+    diamond_necklace, inflate, k4, k33, petersen, prism, problem1_family, random_cubic)
+from packfour.pipeline import color_claw_free_cubic  # noqa: E402
+
+PINNED = "354754f74afd4fb5074c41d83d39b9fdfe6c6bfa40a93bfe6a21bdc0d2054dc3"
+
+
+def cases():
+    """(graph, force) in digest order."""
+    for g in (k4(), prism(), inflate(k4()), inflate(k33()), inflate(prism()), inflate(petersen())):
+        yield g, False
+    for k in range(2, 13):
+        yield diamond_necklace(k), False
+    for n in range(4, 61, 2):
+        for seed in range(5):
+            yield inflate(random_cubic(n, seed=seed)), False
+    for n in (200, 1000):
+        yield inflate(random_cubic(n, seed=0)), False
+    for n in (10, 20, 40, 60, 100, 200):
+        for seed in range(4):
+            yield problem1_family(n, seed), True
+
+
+def digest() -> tuple[str, int, int]:
+    """The digest, the number of certificates, and how many of them record
+    a reducer absorption."""
+    total = hashlib.sha256()
+    count = absorbing = 0
+    for g, force in cases():
+        _, certificate = color_claw_free_cubic(g, force=force)
+        total.update(hashlib.sha256(certificate.encode("utf-8")).digest())
+        count += 1
+        absorbing += '"reducer_trace":[]' not in certificate
+    return total.hexdigest(), count, absorbing
+
+
+def main() -> int:
+    value, count, absorbing = digest()
+    print(f"{value} over {count} certificates, {absorbing} with reducer absorptions "
+          f"(Python {sys.version.split()[0]})")
+    if value != PINNED:
+        print(f"certificate digest differs from the pinned {PINNED}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

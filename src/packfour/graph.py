@@ -103,16 +103,11 @@ def vertices_within(g: Graph, sources, radius: int) -> set[int]:
 
 
 def list_triangles(g: Graph) -> list[Triangle]:
-    """All triangles (u, v, w) with u < v < w, in lexicographic order."""
-    out: list[Triangle] = []
-    nbr_sets = [set(a) for a in g.adj]
-    for u in range(g.n):
-        above = [v for v in g.adj[u] if v > u]
-        for i, v in enumerate(above):
-            for w in above[i + 1:]:
-                if w in nbr_sets[v]:
-                    out.append((u, v, w))
-    return out
+    """All triangles (u, v, w) with u < v < w, in lexicographic order.
+    Membership is tested on the sorted adjacency tuples themselves."""
+    adj = g.adj
+    return [(u, v, w) for u, a in enumerate(adj) for v, w in itertools.combinations(a, 2)
+            if u < v and w in adj[v]]
 
 
 def is_cubic(g: Graph) -> bool:
@@ -132,10 +127,10 @@ def find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
     A claw is an induced K_{1,3}: three pairwise non-adjacent neighbors of a
     common center.  Returns (center, (a, b, c)) or None.
     """
-    nbr_sets = [set(a) for a in g.adj]
-    for c in range(g.n):
-        for a, b, d in itertools.combinations(g.adj[c], 3):
-            if b not in nbr_sets[a] and d not in nbr_sets[a] and d not in nbr_sets[b]:
+    adj = g.adj
+    for c, nbrs in enumerate(adj):
+        for a, b, d in itertools.combinations(nbrs, 3):
+            if b not in adj[a] and d not in adj[a] and d not in adj[b]:
                 return (c, (a, b, d))
     return None
 
@@ -266,21 +261,30 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     odd cycle, since a shortest odd cycle is isometric: each of its vertices
     sees the cycle's opposite edge inside one layer.
 
-    two_coloring runs first; a bipartite graph returns None at once.  Every
-    odd cycle holds a clash edge, one whose ends share a color, so the
-    smaller ends of the clash edges meet every odd cycle, and only they are
-    searched, in ascending order.  Each search is a BFS cut off at the
-    shallowest edge-holding layer found so far, ties included; the least
-    such depth h gives the odd girth 2h + 1.  A vertex on a shortest path
-    from a source to an end of an edge inside that source's layer h lies on
-    a shortest odd cycle, and every shortest odd cycle passes through a
-    searched source, so walking the BFS layers of the sources that reach
-    depth h back from those ends marks exactly the vertices on shortest odd
-    cycles.  The smallest marked vertex is the witness source; one BFS from
-    it, stopped at depth h, gives the lexicographically first edge with both
-    ends at depth h, whose tree paths are spliced into the cycle.
+    two_coloring runs first; a bipartite graph returns None at once.  A
+    caller that needs the 2-coloring too runs it itself and passes it to
+    shortest_odd_cycle_colored, which does the rest.
     """
-    color, odd = two_coloring(g)
+    return shortest_odd_cycle_colored(g, *two_coloring(g))
+
+
+def shortest_odd_cycle_colored(g: Graph, color: list[int], odd: list[int]) -> OddCycle | None:
+    """shortest_odd_cycle(g), given (color, odd) = two_coloring(g).
+
+    None when odd is empty.  Every odd cycle holds a clash edge, one whose
+    ends share a color, so the smaller ends of the clash edges meet every
+    odd cycle, and only they are searched, in ascending order.  Each search
+    is a BFS cut off at the shallowest edge-holding layer found so far, ties
+    included; the least such depth h gives the odd girth 2h + 1.  A vertex
+    on a shortest path from a source to an end of an edge inside that
+    source's layer h lies on a shortest odd cycle, and every shortest odd
+    cycle passes through a searched source, so walking the BFS layers of the
+    sources that reach depth h back from those ends marks exactly the
+    vertices on shortest odd cycles.  The smallest marked vertex is the
+    witness source; one BFS from it, stopped at depth h, gives the
+    lexicographically first edge with both ends at depth h, whose tree paths
+    are spliced into the cycle.
+    """
     if not odd:
         return None
     adj = g.adj

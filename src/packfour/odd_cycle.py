@@ -6,8 +6,9 @@ vertices in witness order, and absorb the first one that can join a side
 without breaking that side's 2-packing — side a is tried before side b.
 Distances are always measured in the original graph, not the remainder.
 
-graph.shortest_odd_cycle first 2-colors the remainder: a bipartite remainder
-ends the loop at once.  Otherwise it runs a BFS from the smaller end of each
+Each round first 2-colors the remainder: a bipartite remainder ends the loop
+at once, and its 2-coloring is handed on.  Otherwise
+graph.shortest_odd_cycle_colored runs a BFS from the smaller end of each
 clash edge (an edge whose ends share a color), since every odd cycle holds
 one, cut off at the shallowest edge-holding layer found so far.  Walking
 those BFS layers back from the ends of the edges inside the shallowest layer
@@ -27,6 +28,9 @@ or raises StuckOddCycle carrying the offending cycle and a claw search result
 (non-claw-free inputs are the expected cause of a stuck run).
 Only there, and at the normal return, is the state frozen into a
 ReductionState; the caller already holds the breaker's pair it started from.
+At the normal return the state carries the last round's 2-coloring, that of
+the remainder on g's own ids with the chosen vertices isolated, so assembly
+needs no second pass over the remainder.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StuckOddCycle
-from .graph import Graph, find_claw, induced_subgraph, shortest_odd_cycle, vertices_within
+from .graph import (Graph, find_claw, induced_subgraph, shortest_odd_cycle_colored, two_coloring,
+                    vertices_within)
 from .triangle_break import PackingPair
 
 
@@ -50,11 +55,14 @@ class Addition:
 
 @dataclass(frozen=True)
 class ReductionState:
-    """What the reducer hands on: the grown sides, the remainder, the log."""
+    """What the reducer hands on: the grown sides, the remainder, the log,
+    and the remainder's 2-coloring on g's ids (None in a stuck snapshot,
+    whose remainder is not bipartite)."""
     ext_a: frozenset[int]
     ext_b: frozenset[int]
     remaining: frozenset[int]
     additions: tuple[Addition, ...]
+    color: tuple[int, ...] | None
 
 
 def addable_side(g: Graph, ext_a, ext_b, v: int) -> str | None:
@@ -70,20 +78,23 @@ def addable_side(g: Graph, ext_a, ext_b, v: int) -> str | None:
 
 
 def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list[Addition]]:
-    """Absorb one vertex per shortest odd cycle until the remainder is bipartite."""
+    """Absorb one vertex per shortest odd cycle until the remainder is bipartite;
+    the returned state carries that remainder's two_coloring colors."""
     ext = {"A": set(pair.a), "B": set(pair.b)}
     remaining = set(range(g.n)) - ext["A"] - ext["B"]
     live = list(induced_subgraph(g, remaining).adj)
     additions: list[Addition] = []
 
-    def frozen() -> ReductionState:
+    def frozen(color) -> ReductionState:
         return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]), frozenset(remaining),
-                              tuple(additions))
+                              tuple(additions), color)
 
     while True:
-        cycle = shortest_odd_cycle(Graph(g.n, tuple(live)))
-        if cycle is None:
-            return frozen(), additions
+        rest = Graph(g.n, tuple(live))
+        color, odd = two_coloring(rest)
+        if not odd:
+            return frozen(tuple(color)), additions
+        cycle = shortest_odd_cycle_colored(rest, color, odd)
         for v in cycle:
             side = addable_side(g, ext["A"], ext["B"], v)
             if side is not None:
@@ -95,4 +106,4 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
                 additions.append(Addition(v, side, len(cycle)))
                 break
         else:
-            raise StuckOddCycle(frozen(), cycle, find_claw(g))
+            raise StuckOddCycle(frozen(None), cycle, find_claw(g))

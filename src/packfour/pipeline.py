@@ -2,20 +2,19 @@
 
 Stage one extracts two disjoint 2-packings that hit every triangle; stage two
 absorbs one vertex per remaining odd cycle until the remainder is bipartite.
-One 2-coloring of that remainder, built on g's own vertex ids with the chosen
-vertices isolated, gives the 1-packing classes 1a/1b (color 0 and color 1);
-the grown 2-packings become 2a/2b, overwriting the isolated vertices'
-colors.  A remainder that is still not bipartite is a RuntimeError naming an
-odd cycle of it.  The certificate writer verifies the result and refuses an
-invalid one, so the pipeline can fail loudly but never emit a wrong answer.
+The reducer hands over the 2-coloring that ended its loop, on g's own vertex
+ids with the chosen vertices isolated; it gives the 1-packing classes 1a/1b
+(color 0 and color 1), and the grown 2-packings become 2a/2b, overwriting
+the isolated vertices' colors.  The certificate writer verifies the result
+and refuses an invalid one, so the pipeline can fail loudly but never emit a
+wrong answer.
 """
 
 from __future__ import annotations
 
 from .errors import NotClawFree
 from .formats import write_certificate
-from .graph import (Graph, find_claw, induced_subgraph, require_cubic, shortest_odd_cycle,
-                    two_coloring)
+from .graph import Graph, find_claw, require_cubic
 from .odd_cycle import reduce_odd_cycles
 from .packing import Coloring
 from .triangle_break import break_triangles
@@ -38,12 +37,7 @@ def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]
             raise NotClawFree(claw)
     pair, lemma_trace = break_triangles(g)
     state, reducer_trace = reduce_odd_cycles(g, pair)
-    sub = induced_subgraph(g, state.remaining)
-    color, odd = two_coloring(sub)
-    if odd:
-        cycle = shortest_odd_cycle(sub)
-        raise RuntimeError(f"remainder not bipartite after reduction: odd cycle {cycle}")
-    coloring = [CLASS_1A + c for c in color]
+    coloring = [CLASS_1A + c for c in state.color]
     for v in state.ext_a:
         coloring[v] = CLASS_2A
     for v in state.ext_b:

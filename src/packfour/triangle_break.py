@@ -14,15 +14,15 @@ Every step is a local strict ascent: its additions lie within distance 3 of
 the first surviving triangle and it strictly increases the integer weight,
 which never exceeds 2n, so a run takes at most 2n steps.
 
-The triangles are listed once per graph, into one index from each vertex to
-the triangles through it; vertex weights, each vertex's triangle mates and
-the K4 placement below all read that index.  The pair is mutable search
-state, updated in place from the triangles of the moved vertices only: the
-sides a and b, the number of chosen vertices on each triangle, the weight
-and the number of surviving triangles.  The first surviving triangle comes off a
-min-heap of triangle indices with lazy deletion; a removal can revive an
-earlier triangle, so its index goes back on the heap.  A PackingPair is built
-only where the pair leaves the search: the returned pair and Stuck.
+Set-up is eager and reads the cubic input's adjacency tuples directly: the
+triangles, an index from each vertex to the triangles through it (weights,
+triangle mates and the K4 placement read it), and each radius-2 ball as one
+concatenation of four tuples.  The pair is mutable search state, updated in
+place from the triangles of the moved vertices only: the sides, the chosen
+count on each triangle, the weight and the survivor count.  The first
+surviving triangle comes off a min-heap of triangle indices with lazy
+deletion; a removal can revive a triangle, so its index goes back on the
+heap.  A PackingPair is built only where the pair leaves the search.
 
 Moves around a triangle are generated lazily in canonical order
 (Move.sort_key: additions, then removals), and a step takes the first.  An
@@ -37,14 +37,13 @@ it, and a removal both items force counts once.  Any removal set holding the
 forced removals, at most one per side, then satisfies (1)-(3), so a combo
 whose additions outweigh its forced removals has a move (the forced removals
 alone), and one that does not has none.  Only a combo with a move reaches
-the removal-set generator, which builds the valid sets directly, by weight,
-rather than filtering them; a step enters it once.
+the removal-set generator, once per step, and it builds and sorts removal
+sets only when an extra removal is affordable.
 
-Complete-graph components on four vertices cannot satisfy (3) with two chosen
-vertices (any two of their vertices share a triangle), so each K4 component is
-handled up front by placing its two smallest vertices one into a and one into
-b; the component's remainder is a single edge, which is triangle-free.  In a
-cubic graph a vertex lies on three triangles exactly when its closed
+A K4 component cannot satisfy (3) with two chosen vertices (any two of its
+vertices share a triangle), so its two smallest vertices are placed up front,
+one into a and one into b; its remainder is a single edge, triangle-free.  In
+a cubic graph a vertex lies on three triangles exactly when its closed
 neighbourhood is a K4 component, so the index finds these components.
 """
 
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator
 
 from .errors import Stuck
@@ -63,6 +62,7 @@ SIDE_B = 1
 
 HEAVY = 2  # weight of a vertex in two or more triangles
 LIGHT = 1  # weight of a vertex in exactly one triangle
+_UNSETTLED = object()  # an item whose forced removals no step has asked for yet
 
 
 @dataclass(frozen=True)
@@ -115,22 +115,23 @@ class _Search:
     the search holds on it, kept as mutable state and updated in place."""
 
     def __init__(self, g: Graph, a=(), b=()):
+        require_cubic(g)
         self.g = g
         self.triangles: list[Triangle] = list_triangles(g)
         self.tri_by_vertex: list[list[int]] = [[] for _ in range(g.n)]
+        # the vertices of the triangles through each vertex, itself included
+        self.mates: list[set[int]] = [set() for _ in range(g.n)]
         for i, t in enumerate(self.triangles):
             for v in t:
                 self.tri_by_vertex[v].append(i)
+                self.mates[v].update(t)
         self.wvec = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
         adj = g.adj
-        self.ball2 = [{v, *a, *chain.from_iterable(map(adj.__getitem__, a))}
-                      for v, a in enumerate(adj)]
-        # the vertices of the triangles through each vertex, itself included
-        self.mates = [{u for ti in ts for u in self.triangles[ti]} for ts in self.tri_by_vertex]
+        self.ball2 = [set(nbrs + adj[nbrs[0]] + adj[nbrs[1]] + adj[nbrs[2]]) for nbrs in adj]
         self.sides = (set(a), set(b))
         marked = self.sides[SIDE_A] | self.sides[SIDE_B]
-        self.weight = sum(self.wvec[v] for v in marked)
-        self.hits = [sum(1 for v in t if v in marked) for t in self.triangles]
+        self.weight = sum(map(self.wvec.__getitem__, marked))
+        self.hits = [(x in marked) + (y in marked) + (z in marked) for x, y, z in self.triangles]
         # indices of surviving triangles, ascending, so already a min-heap
         self.survivors = [i for i, h in enumerate(self.hits) if h == 0]
         self.surviving = len(self.survivors)
@@ -170,35 +171,39 @@ class _Search:
 
     def improving_moves(self, t: Triangle) -> Iterator[Move]:
         """Valid strictly weight-increasing moves whose additions lie within
-        distance 3 of t (the radius-2 balls of t and its neighbours),
-        generated in Move.sort_key() order.
+        distance 3 of t (the radius-2 balls of the vertices on t's three
+        adjacency tuples), generated in Move.sort_key() order.
 
-        Additions are (vertex, side) items: one, or two on distinct vertices.
-        Each item settles its complete forced removals for conditions (1)
-        and (3) once, on demand, in item order (_forced).  Pairs on one side
-        within distance 2, sharing a triangle, or too light to outweigh the
-        first item's forced removals are skipped before the second item is
-        settled; an item whose spare weight no HEAVY partner can make up
-        pairs with nothing.  A pair whose forced removals are two distinct
-        vertices on one side is rejected, and a removal both items force is
-        removed, and weighed, once.  A combo reaches _exchanges only when its
-        additions outweigh its forced removals, so every call yields.  The
-        generator reads the live state, so it must not be resumed after a
+        Additions are (vertex, side) items: one, or two on distinct vertices,
+        listed in one pass over the sorted candidates.  Each item settles its
+        complete forced removals for conditions (1) and (3) once, on demand,
+        in item order (_forced), into a list indexed like the items.  Pairs on
+        one side within distance 2, sharing a triangle, or too light to
+        outweigh the first item's forced removals are skipped before the
+        second item is settled; an item whose spare weight no HEAVY partner
+        can make up pairs with nothing.  A pair whose forced removals are two
+        distinct vertices on one side is rejected, and a removal both items
+        force is removed, and weighed, once.  A combo reaches _exchanges only
+        when its additions outweigh its forced removals, so every call yields.
+        The generator reads the live state, so it must not be resumed after a
         move is played.
         """
-        ball2, mates, sides, w = self.ball2, self.mates, self.sides, self.wvec
-        near = set().union(*(ball2[u] for u in {u for x in t for u in self.g.adj[x]}))
-        items = [(v, side) for v in sorted(near) if w[v]
-                 for side in (SIDE_A, SIDE_B) if v not in sides[side]]
-        forced: dict[tuple[int, int], tuple[int | None, int | None, int] | None] = {}
-
-        def settled(x):
-            if x not in forced:
-                forced[x] = self._forced(*x)
-            return forced[x]
-
+        ball2, mates, w = self.ball2, self.mates, self.wvec
+        in_a, in_b = self.sides
+        adj = self.g.adj
+        near = set().union(*map(ball2.__getitem__, adj[t[0]] + adj[t[1]] + adj[t[2]]))
+        items = []
+        for v in sorted(near):
+            if w[v]:  # the sides are disjoint: at most one of these fails
+                if v not in in_a:
+                    items.append((v, SIDE_A))
+                if v not in in_b:
+                    items.append((v, SIDE_B))
+        forced = [_UNSETTLED] * len(items)
         for i, x in enumerate(items):
-            fx = settled(x)
+            fx = forced[i]
+            if fx is _UNSETTLED:
+                fx = self._forced(*x)
             if fx is None:
                 continue
             ra, rb, weight = fx
@@ -208,11 +213,14 @@ class _Search:
                 yield from self._exchanges((x,), ra, rb, spare)
             if spare + HEAVY <= 0:
                 continue  # no partner outweighs fx
-            for y in items[i + 1:]:
-                u = y[0]
-                if u in mates[v] or (y[1] == side and u in ball2[v]) or w[u] + spare <= 0:
+            mates_v, ball_v = mates[v], ball2[v]
+            for j in range(i + 1, len(items)):
+                u, s = y = items[j]
+                if u in mates_v or (s == side and u in ball_v) or w[u] + spare <= 0:
                     continue  # same vertex or (3), (1), or no gain over fx
-                fy = settled(y)
+                fy = forced[j]
+                if fy is _UNSETTLED:
+                    fy = forced[j] = self._forced(u, s)
                 if fy is None:
                     continue
                 sa, sb, sweight = fy
@@ -235,13 +243,15 @@ class _Search:
         none; or None when two fall on one side.  They are the members of its
         side within distance 2 (condition (1)), and on the other side v itself
         when it switches and the chosen vertices sharing a triangle with v
-        (condition (3))."""
+        (condition (3)).  The sides are disjoint, so the two never coincide."""
         clash = self.sides[side] & self.ball2[v]
         mates = self.sides[1 - side] & self.mates[v]
         if len(clash) > 1 or len(mates) > 1:
             return None
-        own, other = next(iter(clash), None), next(iter(mates), None)
-        weight = sum(self.wvec[u] for u in clash | mates)
+        w = self.wvec
+        own = clash.pop() if clash else None
+        other = mates.pop() if mates else None
+        weight = (0 if own is None else w[own]) + (0 if other is None else w[other])
         return (own, other, weight) if side == SIDE_A else (other, own, weight)
 
     def _exchanges(self, combo, ra, rb, slack) -> Iterator[Move]:
@@ -252,17 +262,21 @@ class _Search:
         of an addition, satisfies (1)-(3), so only weight decides: the sets
         are the forced removals plus an extra chosen vertex on any side they
         leave free, while the additions outweigh the removals.  The forced
-        removals alone are such a set, so the first move always exists."""
+        removals alone are such a set, the only one unless an extra is
+        affordable, and only then are sets built and sorted."""
         w = self.wvec
+        add_a = tuple([v for v, side in combo if side == SIDE_A])
+        add_b = tuple([v for v, side in combo if side == SIDE_B])
+        near = set().union(*[self.ball2[v] for v, _ in combo])
+        extras = [(r, side) for side, forced in ((SIDE_A, ra), (SIDE_B, rb)) if forced is None
+                  for r in self.sides[side] & near if w[r] < slack]
+        if not extras:
+            yield Move(add_a, add_b, ra, rb)
+            return
         must = [(r, side) for r, side in ((ra, SIDE_A), (rb, SIDE_B)) if r is not None]
-        near = set().union(*(self.ball2[v] for v, _ in combo))
-        free = [side for side, r in ((SIDE_A, ra), (SIDE_B, rb)) if r is None]
-        extras = [(r, side) for side in free for r in self.sides[side] & near if w[r] < slack]
         sets = [must] + [must + [x] for x in extras] + [
             must + [x, y] for x, y in combinations(extras, 2)
             if x[1] != y[1] and w[x[0]] + w[y[0]] < slack]
-        add_a = tuple(v for v, side in combo if side == SIDE_A)
-        add_b = tuple(v for v, side in combo if side == SIDE_B)
         for removal in sorted(sorted(rs) for rs in sets):
             rem = {side: r for r, side in removal}
             yield Move(add_a, add_b, rem.get(SIDE_A), rem.get(SIDE_B))
@@ -271,8 +285,8 @@ class _Search:
 def enumerate_improving_moves(g: Graph, pair: PackingPair, t: Triangle) -> Iterator[Move]:
     """Improving moves whose additions stay within distance 3 of triangle t.
 
-    Improving means strictly weight-increasing.  t must be a surviving
-    triangle of the pair.  Moves are generated in canonical order,
+    Improving means strictly weight-increasing.  g must be cubic and t a
+    surviving triangle of the pair.  Moves are generated in canonical order,
     Move.sort_key() (additions compared before removals, side a before side b),
     and each candidate is checked once; for the first surviving triangle, the
     first yield is exactly the step break_triangles takes.
@@ -290,7 +304,6 @@ def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
     strictly weight-increasing move whose additions lie within distance 3 of
     it.  Raises Stuck when that triangle has no such move.
     """
-    require_cubic(g)
     search = _Search(g)
     trace: list[AppliedMove] = []
 

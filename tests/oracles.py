@@ -239,21 +239,22 @@ def reference_reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionS
     A vertex joins side A when its radius-2 ball, read off the adjacency,
     misses A, else side B when it misses B; the first cycle vertex that can
     join is absorbed.  A cycle with none raises StuckOddCycle with the state,
-    the cycle and the first claw of brute_claws.
+    the cycle and the first claw of brute_claws.  The bipartite end state
+    carries reference_remainder_colors.
     """
     ext = {"A": set(pair.a), "B": set(pair.b)}
     remaining = set(range(g.n)) - ext["A"] - ext["B"]
     additions: list[Addition] = []
 
-    def frozen() -> ReductionState:
+    def frozen(color) -> ReductionState:
         return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]), frozenset(remaining),
-                              tuple(additions))
+                              tuple(additions), color)
 
     while True:
         sub, mapping = relabelled_subgraph(g, remaining)
         witness = reference_shortest_odd_cycle(sub)
         if witness is None:
-            return frozen(), additions
+            return frozen(reference_remainder_colors(g, remaining)), additions
         cycle = tuple(mapping[i] for i in witness)
         for v in cycle:
             ball = {v, *g.adj[v], *(w for u in g.adj[v] for w in g.adj[u])}
@@ -265,7 +266,28 @@ def reference_reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionS
                 break
         else:
             claws = brute_claws(g)
-            raise StuckOddCycle(frozen(), cycle, claws[0] if claws else None)
+            raise StuckOddCycle(frozen(None), cycle, claws[0] if claws else None)
+
+
+def reference_remainder_colors(g: Graph, remaining) -> tuple[int, ...]:
+    """Per vertex of g, the parity of its distance in the bipartite subgraph
+    induced by remaining from the smallest vertex of its component there,
+    found on the subgraph relabelled onto 0..k-1; 0 outside remaining."""
+    sub, mapping = relabelled_subgraph(g, remaining)
+    color = [0] * g.n
+    seen: set[int] = set()
+    for root in range(sub.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        frontier, parity = {root}, 0
+        while frontier:
+            for x in frontier:
+                color[mapping[x]] = parity
+            frontier = {y for x in frontier for y in sub.adj[x]} - seen
+            seen |= frontier
+            parity ^= 1
+    return tuple(color)
 
 
 def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:

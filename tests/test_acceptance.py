@@ -1,7 +1,7 @@
 """Acceptance gate: eight criteria, one test and one printed verdict line each.
 
 The corpus below (157 claw-free cubic graphs, 4 to 60 vertices) is shared by
-most criteria.  Runtime bounds are generous on purpose: they catch order-of-
+most criteria, and by two component checks at the end of the module.  Runtime bounds are generous on purpose: they catch order-of-
 magnitude regressions, not scheduler noise.
 """
 from __future__ import annotations
@@ -23,11 +23,14 @@ from packfour.generators import (
     k33,
     petersen,
     prism,
+    problem1_family,
     random_cubic,
 )
-from packfour.graph import find_claw, induced_subgraph, is_cubic, list_triangles, vertices_within
+from packfour.graph import (find_claw, induced_subgraph, is_cubic, list_triangles, two_coloring,
+                            vertices_within)
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
+from packfour import pipeline
 from packfour.pipeline import color_claw_free_cubic
 from packfour.triangle_break import _Search, break_triangles
 from packfour.odd_cycle import reduce_odd_cycles
@@ -236,3 +239,26 @@ def test_ball_table_matches_vertices_within(corpus):
             cases += [g, inflate(g), oracles.disjoint_union(k4(), g, k4())]
     for g in cases:
         assert _Search(g).ball2 == [vertices_within(g, [v], 2) for v in g.vertices()]
+
+
+def test_reducer_hands_over_the_remainder_coloring(corpus, monkeypatch):
+    # the 2-coloring that ends the reducer's loop, which assembly reads, is
+    # the one two_coloring gives on the remainder built afresh, on the corpus
+    # and on clawed gadgets colored with force, whose reducer absorbs
+    states = []
+
+    def kept(g, pair):
+        state, additions = reduce_odd_cycles(g, pair)
+        states.append(state)
+        return state, additions
+
+    monkeypatch.setattr(pipeline, "reduce_odd_cycles", kept)
+    gadgets = [problem1_family(n, seed) for n in (10, 20, 40, 60) for seed in range(4)]
+    for g, force in [(g, False) for g in corpus] + [(g, True) for g in gadgets]:
+        coloring, _ = color_claw_free_cubic(g, force=force)
+        state = states[-1]
+        assert state.color == tuple(two_coloring(induced_subgraph(g, state.remaining))[0])
+        assert [coloring[v] - 1 for v in sorted(state.remaining)] == [
+            state.color[v] for v in sorted(state.remaining)]
+    assert len(states) == len(corpus) + len(gadgets)
+    assert sum(len(state.additions) for state in states[len(corpus):]) > 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from packfour.errors import NotClawFree, NotCubic, StuckOddCycle
+from packfour.errors import NotClawFree, NotCubic, RefusesUnverified, StuckOddCycle
 from packfour.formats import coloring_from_certificate, read_certificate
 from packfour.generators import (
     cycle,
@@ -17,6 +17,7 @@ from packfour.generators import (
     random_cubic,
 )
 from packfour import pipeline
+from packfour.graph import induced_subgraph, two_coloring
 from packfour.odd_cycle import ReductionState
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
@@ -79,22 +80,27 @@ def test_force_surfaces_stuck_instead_of_lying():
 
 
 def test_non_bipartite_remainder_raises_before_any_certificate(monkeypatch):
-    # a reducer that stops early leaves the prism's triangle 3-4-5 behind
+    # a reducer that stops early leaves the prism's triangle 3-4-5 behind,
+    # with the clashing 2-coloring its last round computed; the certificate
+    # writer's own check refuses it, so no certificate comes out
     def stop_early(g, pair):
-        state = ReductionState(ext_a=frozenset({0}), ext_b=frozenset(),
-                               remaining=frozenset({1, 2, 3, 4, 5}), additions=())
+        remaining = frozenset({1, 2, 3, 4, 5})
+        color = two_coloring(induced_subgraph(g, remaining))[0]
+        state = ReductionState(ext_a=frozenset({0}), ext_b=frozenset(), remaining=remaining,
+                               additions=(), color=tuple(color))
         return state, []
 
     written = []
     write_certificate = pipeline.write_certificate
 
     def spy(*args):
-        written.append(args)
-        return write_certificate(*args)
+        certificate = write_certificate(*args)
+        written.append(certificate)
+        return certificate
 
     monkeypatch.setattr(pipeline, "reduce_odd_cycles", stop_early)
     monkeypatch.setattr(pipeline, "write_certificate", spy)
-    with pytest.raises(RuntimeError, match=r"odd cycle \(3, 4, 5\)"):
+    with pytest.raises(RefusesUnverified, match="vertices 3 and 5 share class 1"):
         color_claw_free_cubic(prism())
     assert written == []
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -339,6 +340,23 @@ def test_enumerate_cases_reach_every_merge_rule(make, part, rule):
     assert list(enumerate_improving_moves(g, pair, t)) == moves
 
 
+@pytest.mark.parametrize("make,part", [
+    (lambda: inflate(random_cubic(12, seed=4)), 2),
+    (lambda: oracles.diamond_strings(40, 1, 0.3, 1), 4),
+])
+def test_enumerate_cases_reach_extra_removals(make, part):
+    # the removal-set generator yields the forced removals alone when no
+    # extra removal is affordable; on these cases some additions have several
+    # moves, one per affordable extra removal, which that short cut must keep
+    g = make()
+    a, b, t = mid_run(g, part)
+    pair = recompute_pair(g, a, b)
+    moves = reference_moves(g, pair, t)
+    per_addition = collections.Counter((m.add_a, m.add_b) for m in moves)
+    assert max(per_addition.values()) > 1
+    assert list(enumerate_improving_moves(g, pair, t)) == moves
+
+
 def test_break_k4_frozen():
     pair, trace = break_triangles(k4())
     assert (sorted(pair.a), sorted(pair.b)) == ([0], [1])
@@ -437,7 +455,8 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
     # constant from n ~ 10^3 to n ~ 10^5, each step hands exactly one combo
     # to the removal-set generator (these graphs have no K4 component, so
     # every step searches, and only a combo with a move reaches it), and the
-    # pair is built whole only at the end
+    # pair is built whole only at the end.  Every step settles at least its
+    # move's first item, so a settlement that bypasses _forced cannot pass.
     g = oracles.diamond_strings(base_n, 1, 0.3, 7)
     forced, exchanges = _Search._forced, _Search._exchanges
     counts = {"settled": 0, "combos": 0, "pairs": 0}
@@ -461,7 +480,7 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
     pair, trace = break_triangles(g)
     n, steps, digest = DIAMOND_STRING_TRACES[base_n]
     assert (g.n, len(trace), pair.surviving) == (n, steps, 0)
-    assert counts["settled"] <= 12 * steps
+    assert steps <= counts["settled"] <= 12 * steps
     assert counts["combos"] == steps
     assert counts["pairs"] == 1
     records = json.dumps([am.to_record() for am in trace], sort_keys=True)
