@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing, nullcontext
 from functools import partial
 
 from .errors import (
@@ -59,6 +60,12 @@ def _read_text(path: str | None) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _output(path: str | None):
+    """A context giving the file at path, opened for writing and closed on
+    exit, or stdout, left open, when no path is given."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def _lines(text: str) -> list[str]:
@@ -111,9 +118,8 @@ _EXIT_BY_STATUS = {"ok": 0, "parse": 2, "hypothesis": 3, "stuck": 4}
 def cmd_color(args) -> int:
     parse, items = _graph_items(_read_text(args.input), args.format)
     results = ordered_map(partial(_color_one, parse=parse, force=args.force), items, args.jobs)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     exit_code = 0
-    try:
+    with _output(args.out) as out, closing(results):
         for i, (status, payload) in enumerate(results):
             # each record goes out as soon as its graph is done
             if status == "ok":
@@ -126,10 +132,6 @@ def cmd_color(args) -> int:
                 print(f"graph {i}: {status}: {payload}", file=sys.stderr)
                 if exit_code == 0:
                     exit_code = _EXIT_BY_STATUS[status]
-    finally:
-        results.close()
-        if out is not sys.stdout:
-            out.close()
     return exit_code
 
 
@@ -153,11 +155,17 @@ def cmd_verify(args) -> int:
     g = graphs[0]
     try:
         cert = read_certificate(_read_text(args.certificate))
-        cg, s, coloring = coloring_from_certificate(cert)
+        # a claimed size other than the input's is a mismatch found before
+        # coloring_from_certificate builds a graph of that size
+        matches = type(cert["n"]) is not int or cert["n"] == g.n
+        if matches:
+            cg, s, coloring = coloring_from_certificate(cert)
+            # adjacency tuples are sorted, so equal graphs compare equal
+            matches = cg.adj == g.adj
     except PackfourError as e:
         print(f"certificate: {e}", file=sys.stderr)
         return 1
-    if cg.adj != g.adj:  # adjacency tuples are sorted, so equal graphs compare equal
+    if not matches:
         print("certificate does not match the given graph", file=sys.stderr)
         return 1
     try:
@@ -227,13 +235,9 @@ def cmd_gen(args) -> int:
     except PackfourError as e:
         print(f"gen: {e}", file=sys.stderr)
         return 2
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         for g in graphs:
             print(write_graph6(g), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -6,6 +6,7 @@ orders are fixed so repeated runs emit byte-identical graph6.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -56,6 +57,24 @@ def diamond_necklace(k: int) -> Graph:
     return build_graph(4 * k, edges)
 
 
+# gadgets for _substitute: (size, edges on local ids); ports are 0, 1 and 2
+_TRIANGLE = (3, ((0, 1), (0, 2), (1, 2)))
+# K_{2,3}: hubs 3 and 4, each adjacent to every port
+_K23 = (5, tuple((p, hub) for hub in (3, 4) for p in (0, 1, 2)))
+
+
+def _substitute(base: Graph, gadgets) -> Graph:
+    """Put gadgets[v] in place of each vertex v of a cubic base, on the next
+    free ids in vertex order; v's base edges, sorted by neighbour id, attach
+    to the gadget's ports in order."""
+    offset = list(itertools.accumulate([size for size, _ in gadgets], initial=0))
+    edges = [(offset[v] + x, offset[v] + y) for v, (_, local) in enumerate(gadgets)
+             for x, y in local]
+    edges += [(offset[u] + base.adj[u].index(v), offset[v] + base.adj[v].index(u))
+              for u, v in base.edges()]
+    return build_graph(offset[-1], edges)
+
+
 def inflate(g: Graph) -> Graph:
     """Replace every vertex of a cubic graph by a triangle.
 
@@ -64,15 +83,7 @@ def inflate(g: Graph) -> Graph:
     3n vertices.
     """
     require_cubic(g)
-    edges = []
-    for v in range(g.n):
-        base = 3 * v
-        edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
-    for u, v in g.edges():
-        pu = g.adj[u].index(v)
-        pv = g.adj[v].index(u)
-        edges.append((3 * u + pu, 3 * v + pv))
-    return build_graph(3 * g.n, edges)
+    return _substitute(g, [_TRIANGLE] * g.n)
 
 
 def named_graph(name: str) -> Graph:
@@ -125,25 +136,15 @@ def random_cubic(n: int, seed: int, connected: bool = False,
 
 
 def vertices_on_cycle_3_or_4(g: Graph) -> list[bool]:
-    """Per-vertex scan: does the vertex lie on some cycle of length 3 or 4?"""
+    """Per-vertex scan: does the vertex lie on some cycle of length 3 or 4?
+
+    A vertex v off every triangle lies on a 4-cycle exactly when two of its
+    neighbours share a neighbour other than v."""
     on_triangle = {v for t in list_triangles(g) for v in t}
-    nbr_sets = [set(a) for a in g.adj]
-    out = []
-    for v in range(g.n):
-        if v in on_triangle:
-            out.append(True)
-            continue
-        on_c4 = False
-        nbrs = g.adj[v]
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1:]:
-                if (nbr_sets[x] & nbr_sets[y]) - {v}:
-                    on_c4 = True
-                    break
-            if on_c4:
-                break
-        out.append(on_c4)
-    return out
+    adj = g.adj
+    return [v in on_triangle or any(z != v and z in adj[y]
+                                    for x, y in itertools.combinations(adj[v], 2) for z in adj[x])
+            for v in range(g.n)]
 
 
 def problem1_family(n: int, seed: int) -> Graph:
@@ -158,29 +159,7 @@ def problem1_family(n: int, seed: int) -> Graph:
     property is re-checked by a direct scan before returning.
     """
     base = random_cubic(n, seed)
-    offsets = []
-    total = 0
-    for v in range(base.n):
-        offsets.append(total)
-        total += 3 if v % 2 == 0 else 5
-    edges = []
-    ports: list[tuple[int, int, int]] = []
-    for v in range(base.n):
-        o = offsets[v]
-        if v % 2 == 0:
-            edges += [(o, o + 1), (o, o + 2), (o + 1, o + 2)]
-            ports.append((o, o + 1, o + 2))
-        else:
-            # ports o..o+2, hubs o+3 and o+4, every hub adjacent to every port
-            for hub in (o + 3, o + 4):
-                for p in (o, o + 1, o + 2):
-                    edges.append((p, hub))
-            ports.append((o, o + 1, o + 2))
-    for u, v in base.edges():
-        pu = base.adj[u].index(v)
-        pv = base.adj[v].index(u)
-        edges.append((ports[u][pu], ports[v][pv]))
-    g = build_graph(total, edges)
+    g = _substitute(base, [_K23 if v % 2 else _TRIANGLE for v in range(base.n)])
     if not is_cubic(g):
         raise RuntimeError("gadget substitution lost 3-regularity")
     if not all(vertices_on_cycle_3_or_4(g)):

@@ -30,21 +30,12 @@ class Graph:
     def m(self) -> int:
         return sum(map(len, self.adj)) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self):
         """Yield edges (u, v) with u < v in lexicographic order."""
         for u in range(self.n):
             for v in self.adj[u]:
                 if v > u:
                     yield (u, v)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -100,6 +91,18 @@ def vertices_within(g: Graph, sources, radius: int) -> set[int]:
                 dist[v] = dist[u] + 1
                 q.append(v)
     return set(dist)
+
+
+def ball2(adj, v: int) -> set[int]:
+    """The vertices within distance 2 of v, read off the adjacency tuples:
+    v, its neighbours and theirs."""
+    ball = set(adj[v])
+    for x in adj[v]:
+        ball.update(adj[x])
+    # last, so a vertex with a neighbour keeps the int its neighbour's
+    # tuple holds, not a second copy per ball
+    ball.add(v)
+    return ball
 
 
 def list_triangles(g: Graph) -> list[Triangle]:
@@ -163,32 +166,30 @@ def _canonical_cycle(seq: list[int]) -> OddCycle:
 
 
 def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
-    """BFS 2-coloring of every component, roots ascending; returns (color, odd).
+    """BFS 2-coloring of every component, roots ascending; returns (color, clash).
 
     Each root, the smallest vertex of its component, gets color 0 and every
-    other vertex the opposite color of its BFS parent.  odd lists the vertices
-    of every component holding an edge whose ends share a color, in BFS order;
-    it is empty exactly when g is bipartite, and then color is a proper
-    2-coloring.
+    other vertex the opposite color of its BFS parent.  clash lists, ascending
+    and once each, the smaller ends of the edges whose ends share a color.
+    Every odd cycle holds such an edge and a clash edge closes an odd cycle
+    with the BFS tree, so clash is empty exactly when g is bipartite, and then
+    color is a proper 2-coloring.
     """
     color = [-1] * g.n
-    odd: list[int] = []
+    clash: set[int] = set()
     for root in range(g.n):
         if color[root] != -1:
             continue
         color[root] = 0
         comp = [root]
-        clash = False
         for u in comp:  # grows while iterated: a BFS queue
             for v in g.adj[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
                     comp.append(v)
-                elif color[v] == color[u]:
-                    clash = True
-        if clash:
-            odd.extend(comp)
-    return color, odd
+                elif color[v] == color[u] and u < v:
+                    clash.add(u)
+    return color, sorted(clash)
 
 
 def _path_to_root(v: int, parent: dict[int, int]) -> list[int]:
@@ -262,35 +263,34 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     sees the cycle's opposite edge inside one layer.
 
     two_coloring runs first; a bipartite graph returns None at once.  A
-    caller that needs the 2-coloring too runs it itself and passes it to
-    shortest_odd_cycle_colored, which does the rest.
+    caller that needs the 2-coloring too runs it itself and passes its clash
+    ends to shortest_odd_cycle_colored, which does the rest.
     """
-    return shortest_odd_cycle_colored(g, *two_coloring(g))
+    return shortest_odd_cycle_colored(g, two_coloring(g)[1])
 
 
-def shortest_odd_cycle_colored(g: Graph, color: list[int], odd: list[int]) -> OddCycle | None:
-    """shortest_odd_cycle(g), given (color, odd) = two_coloring(g).
+def shortest_odd_cycle_colored(g: Graph, clash: list[int]) -> OddCycle | None:
+    """shortest_odd_cycle(g), given clash = two_coloring(g)[1].
 
-    None when odd is empty.  Every odd cycle holds a clash edge, one whose
-    ends share a color, so the smaller ends of the clash edges meet every
-    odd cycle, and only they are searched, in ascending order.  Each search
-    is a BFS cut off at the shallowest edge-holding layer found so far, ties
-    included; the least such depth h gives the odd girth 2h + 1.  A vertex
-    on a shortest path from a source to an end of an edge inside that
-    source's layer h lies on a shortest odd cycle, and every shortest odd
-    cycle passes through a searched source, so walking the BFS layers of the
-    sources that reach depth h back from those ends marks exactly the
-    vertices on shortest odd cycles.  The smallest marked vertex is the
-    witness source; one BFS from it, stopped at depth h, gives the
+    None when clash is empty.  Every odd cycle holds a clash edge, one whose
+    ends share a color, so the smaller ends of the clash edges meet every odd
+    cycle, and only they are searched, in the ascending order clash lists
+    them.  Each search is a BFS cut off at the shallowest edge-holding layer
+    found so far, ties included; the least such depth h gives the odd girth
+    2h + 1.  A vertex on a shortest path from a source to an end of an edge
+    inside that source's layer h lies on a shortest odd cycle, and every
+    shortest odd cycle passes through a searched source, so walking the BFS
+    layers of the sources that reach depth h back from those ends marks
+    exactly the vertices on shortest odd cycles.  The smallest marked vertex
+    is the witness source; one BFS from it, stopped at depth h, gives the
     lexicographically first edge with both ends at depth h, whose tree paths
     are spliced into the cycle.
     """
-    if not odd:
+    if not clash:
         return None
     adj = g.adj
-    sources = sorted({u for u in odd for v in adj[u] if v > u and color[v] == color[u]})
     h = first = g.n
-    for s in sources:
+    for s in clash:
         found = _odd_layer(g, s, h)
         if found is None:
             continue

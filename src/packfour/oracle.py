@@ -2,13 +2,18 @@
 
 Backtracking over vertices in a fixed order (descending degree, then id).
 A vertex may take class i only if it keeps distance > a_i to every earlier
-vertex of class i; among classes with equal a_i, a class can be used for the
-first time only after all equal-a_i classes with smaller index are in use,
-which removes the permutation symmetry between interchangeable classes.
+vertex of class i.  Classes of equal a_i are interchangeable, and a spec is
+non-decreasing, so they sit side by side; class i can be used for the first
+time only once class i - 1 is in use when a_(i-1) = a_i.  Backtracking
+opens and empties classes last in, first out, so the equal-a_i classes in
+use always form a prefix of their run, and this removes the same
+permutation symmetry as requiring every earlier equal-a_i class in use.
 
-This is the independent route against the constructive pipeline: it shares
-only the distance primitives with the rest of the package and knows nothing
-about packing pairs or reductions.
+This is the independent route against the constructive pipeline.  It shares
+with the rest of the package only the graph container with its BFS distances
+and claw and cubic checks, the graph6 codec, and verify_spacking, which
+re-checks every coloring it returns; it knows nothing about packing pairs,
+triangles or reductions.
 """
 
 from __future__ import annotations
@@ -48,15 +53,11 @@ def exists_spacking(g: Graph, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     if g.n == 0:
         return OracleResult("yes", [])
     dist = all_pairs_distances(g)
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
     r = s.r
-    # first_unused_gate[i] = indices of same-a classes that must be in use
-    # before class i may be opened
-    gate: list[list[int]] = [[] for _ in range(r)]
-    for i in range(r):
-        for j in range(i):
-            if s.values[j] == s.values[i]:
-                gate[i].append(j)
+    # twin[i]: class i - 1 has the same radius, so it must be in use before
+    # class i may be opened
+    twin = [i > 0 and s.values[i - 1] == s.values[i] for i in range(r)]
     assigned: list[int] = [0] * g.n  # class per vertex, 0 = unassigned
     members: list[list[int]] = [[] for _ in range(r)]
 
@@ -70,7 +71,7 @@ def exists_spacking(g: Graph, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
             return True
         v = order[depth]
         for i in range(r):
-            if not members[i] and any(not members[j] for j in gate[i]):
+            if twin[i] and not members[i] and not members[i - 1]:
                 continue
             if admissible(v, i):
                 assigned[v] = i + 1
@@ -123,14 +124,16 @@ def decide_line(line: str, s: SSpec, vertex_cap: int) -> dict:
 
 
 def ordered_map(fn, items: list, jobs: int) -> Iterator:
-    """fn(x) for x in items, lazily and in input order, spread over `jobs`
-    worker processes when jobs > 1 and there are two or more items.  A
-    consumer that stops early (or closes the iterator) cancels the work not
-    yet started."""
-    if jobs > 1 and len(items) > 1:
+    """fn(x) for x in items, lazily and in input order, spread over
+    min(jobs, len(items)) worker processes when that is 2 or more; a pool
+    may start all its workers at the first task, so none is asked for
+    beyond the items.  A consumer that stops early (or closes the iterator)
+    cancels the work not yet started."""
+    workers = min(jobs, len(items))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 yield from pool.map(fn, items)
             finally:

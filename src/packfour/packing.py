@@ -41,8 +41,6 @@ class SSpec:
 def parse_sspec(text: str) -> SSpec:
     """Parse "1,1,2,2" into a validated SSpec."""
     tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise EmptySpec()
     values = []
     for t in tokens:
         try:

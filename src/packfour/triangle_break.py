@@ -16,10 +16,10 @@ which never exceeds 2n, so a run takes at most 2n steps.
 
 Set-up is eager and reads the cubic input's adjacency tuples directly: the
 triangles, an index from each vertex to the triangles through it (weights,
-triangle mates and the K4 placement read it), and each radius-2 ball as one
-concatenation of four tuples.  The pair is mutable search state, updated in
-place from the triangles of the moved vertices only: the sides, the chosen
-count on each triangle, the weight and the survivor count.  The first
+triangle mates and the K4 placement read it), and each vertex's radius-2
+ball, graph.ball2.  The pair is mutable search state, updated in place from
+the triangles of the moved vertices only: the sides, the chosen count on
+each triangle, the weight and the survivor count.  The first
 surviving triangle comes off a min-heap of triangle indices with lazy
 deletion; a removal can revive a triangle, so its index goes back on the
 heap.  A PackingPair is built only where the pair leaves the search.
@@ -55,7 +55,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import Stuck
-from .graph import Graph, Triangle, list_triangles, require_cubic
+from .graph import Graph, Triangle, ball2, list_triangles, require_cubic
 
 SIDE_A = 0
 SIDE_B = 1
@@ -126,8 +126,7 @@ class _Search:
                 self.tri_by_vertex[v].append(i)
                 self.mates[v].update(t)
         self.wvec = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
-        adj = g.adj
-        self.ball2 = [set(nbrs + adj[nbrs[0]] + adj[nbrs[1]] + adj[nbrs[2]]) for nbrs in adj]
+        self.ball2 = [ball2(g.adj, v) for v in range(g.n)]
         self.sides = (set(a), set(b))
         marked = self.sides[SIDE_A] | self.sides[SIDE_B]
         self.weight = sum(map(self.wvec.__getitem__, marked))

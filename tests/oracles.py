@@ -46,7 +46,7 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
 def brute_triangles(g: Graph) -> list[tuple[int, int, int]]:
     out = []
     for a, b, c in itertools.combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+        if b in g.adj[a] and c in g.adj[a] and c in g.adj[b]:
             out.append((a, b, c))
     return out
 
@@ -118,7 +118,7 @@ def brute_claws(g: Graph) -> list[tuple[int, tuple[int, int, int]]]:
     for c in range(g.n):
         for trio in itertools.combinations(sorted(g.adj[c]), 3):
             a, b, d = trio
-            if not (g.has_edge(a, b) or g.has_edge(a, d) or g.has_edge(b, d)):
+            if not (b in g.adj[a] or d in g.adj[a] or d in g.adj[b]):
                 out.append((c, trio))
     return out
 
@@ -296,7 +296,7 @@ def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:
         for j in range(i + 2, k):
             if i == 0 and j == k - 1:
                 continue
-            if g.has_edge(cycle[i], cycle[j]):
+            if cycle[j] in g.adj[cycle[i]]:
                 return False
     return True
 
@@ -324,7 +324,7 @@ def g6_encode_reference(g: Graph) -> str:
     bits = ""
     for v in range(1, g.n):
         for u in range(v):
-            bits += "1" if g.has_edge(u, v) else "0"
+            bits += "1" if v in g.adj[u] else "0"
     bits += "0" * (-len(bits) % 6)
     for i in range(0, len(bits), 6):
         out.append(63 + int(bits[i:i + 6], 2))
@@ -403,6 +403,23 @@ def diamond_strings(base_n: int, base_seed: int, share: float, seed: int) -> Gra
             prev = far
         edges.append((prev, v))
     return build_graph(n, edges)
+
+
+def diamond_chain(k: int) -> Graph:
+    """k copies of diamond_strings(6, 3, 0.3, 5), copy i on 30i..30i+29,
+    joined in a path by 2-switches: for each i < k - 1, the edges
+    (30i+1, 30i+6) and (30i+30, 30i+33) become (30i+1, 30i+30) and
+    (30i+6, 30i+33).  Neither removed edge lies on a triangle, so the result
+    is a connected claw-free cubic graph, on which the reducer absorbs one
+    vertex per switch, each on a 17-cycle."""
+    unit = diamond_strings(6, 3, 0.3, 5)
+    assert unit.n == 30
+    edges = {(u + 30 * i, v + 30 * i) for i in range(k) for u, v in unit.edges()}
+    for o in range(0, 30 * (k - 1), 30):
+        edges.remove((o + 1, o + 6))
+        edges.remove((o + 30, o + 33))
+        edges |= {(o + 1, o + 30), (o + 6, o + 33)}
+    return build_graph(30 * k, sorted(edges))
 
 
 @st.composite

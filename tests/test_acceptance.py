@@ -238,7 +238,7 @@ def test_ball_table_matches_vertices_within(corpus):
             g = random_cubic(n, seed=seed)
             cases += [g, inflate(g), oracles.disjoint_union(k4(), g, k4())]
     for g in cases:
-        assert _Search(g).ball2 == [vertices_within(g, [v], 2) for v in g.vertices()]
+        assert _Search(g).ball2 == [vertices_within(g, [v], 2) for v in range(g.n)]
 
 
 def test_reducer_hands_over_the_remainder_coloring(corpus, monkeypatch):

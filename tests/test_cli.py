@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import packfour
-from packfour import cli
+from packfour import cli, formats
 from packfour.cli import main
 from packfour.formats import parse_graph6, write_graph6
 from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubic
@@ -117,6 +118,38 @@ def test_color_jobs_matches_serial(tmp_path, capsys):
     assert serial == parallel
 
 
+def test_jobs_asks_for_no_more_workers_than_items(tmp_path, capsys, monkeypatch):
+    # a process pool may start every worker at its first task, so --jobs 64
+    # on a batch of two asks for two; the stand-in maps in this process
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    two = write(tmp_path, "two.g6", f"{write_graph6(prism())}\n{write_graph6(k4())}\n")
+    code, out, _ = run(capsys, "color", two, "--jobs", "64")
+    assert code == 0 and len(out.splitlines()) == 2
+    three = write(tmp_path, "three.g6", "\n".join(write_graph6(g) for g in (k4(), prism(), k4())))
+    assert run(capsys, "oracle", three, "--s", "1,1,2,2", "--jobs", "64")[0] == 0
+    assert run(capsys, "experiment", "problem2", "--jobs", "64")[0] == 0  # 5 graphs
+    assert run(capsys, "color", two, "--jobs", "2")[0] == 0
+    assert asked == [2, 3, 5, 2]
+
+
 def test_color_dot_output(tmp_path, capsys):
     inp = write(tmp_path, "in.g6", f"{write_graph6(k4())}\n{write_graph6(prism())}\n")
     dot = str(tmp_path / "view.dot")
@@ -206,6 +239,26 @@ def test_verify_graph_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "verify", other, cert)
     assert code == 1
     assert "does not match" in err
+
+
+def test_verify_rejects_claimed_size_before_building(tmp_path, capsys, monkeypatch):
+    # a prism certificate edited to claim n = 10^9 is a mismatch, found
+    # without building a graph of the claimed size
+    inp, cert_path = color_to_file(tmp_path, capsys, prism())
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    cert["n"] = 10 ** 9
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    build = formats.build_graph
+
+    def bounded(n, edges):
+        if n > 10 ** 6:
+            raise AssertionError(f"building a graph on {n} vertices")
+        return build(n, edges)
+
+    monkeypatch.setattr(formats, "build_graph", bounded)
+    code, _, err = run(capsys, "verify", inp, cert_path)
+    assert code == 1
+    assert err == "certificate does not match the given graph\n"
 
 
 def test_verify_rejects_moved_edge(tmp_path, capsys):
@@ -304,7 +357,7 @@ def test_gen_random_cubic(tmp_path, capsys):
     assert out1 == out2
     for line in out1.strip().splitlines():
         g = parse_graph6(line)
-        assert g.n == 10 and all(g.degree(v) == 3 for v in range(10))
+        assert g.n == 10 and all(len(g.adj[v]) == 3 for v in range(10))
     code, _, err = run(capsys, "gen", "random-cubic", "9")
     assert code == 2
 

@@ -60,14 +60,14 @@ def test_graph_basics():
     g = prism()
     assert g.n == 6
     assert g.m == 9
-    assert [g.degree(v) for v in g.vertices()] == [3] * 6
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 4)
+    assert [len(g.adj[v]) for v in range(g.n)] == [3] * 6
+    assert 1 in g.adj[0] and 0 in g.adj[1]
+    assert 4 not in g.adj[0]
     # edges come out sorted with u < v
     assert list(g.edges()) == sorted(g.edges())
     assert all(u < v for u, v in g.edges())
     # adjacency lists are sorted tuples
-    assert all(list(g.adj[v]) == sorted(g.adj[v]) for v in g.vertices())
+    assert all(list(g.adj[v]) == sorted(g.adj[v]) for v in range(g.n))
 
 
 def test_bfs_distances_prism():
@@ -86,9 +86,9 @@ def test_bfs_unreachable_is_inf():
 @settings(max_examples=60)
 def test_bfs_agrees_with_floyd_warshall(g):
     fw = oracles.floyd_warshall(g)
-    for s in g.vertices():
+    for s in range(g.n):
         d = bfs_distances(g, s)
-        for v in g.vertices():
+        for v in range(g.n):
             assert (d[v] is INF) == (fw[s][v] == oracles.INF)
             if d[v] is not INF:
                 assert d[v] == fw[s][v]
@@ -141,8 +141,8 @@ def test_find_claw_agrees_with_brute(g):
         assert got == claws[0]
         c, (a, b, d) = got
         for leaf in (a, b, d):
-            assert g.has_edge(c, leaf)
-        assert not g.has_edge(a, b) and not g.has_edge(a, d) and not g.has_edge(b, d)
+            assert leaf in g.adj[c]
+        assert b not in g.adj[a] and d not in g.adj[a] and d not in g.adj[b]
 
 
 def test_induced_subgraph():
@@ -158,10 +158,10 @@ def test_induced_subgraph():
 @given(graphs(max_n=9))
 @settings(max_examples=60)
 def test_induced_subgraph_edge_membership(g):
-    keep = {v for v in g.vertices() if v % 2 == 0}
+    keep = {v for v in range(g.n) if v % 2 == 0}
     sub = induced_subgraph(g, keep)
     assert sub.n == g.n
-    assert all(sub.adj[v] == () for v in g.vertices() if v not in keep)
+    assert all(sub.adj[v] == () for v in range(g.n) if v not in keep)
     original = {(u, v) for u, v in g.edges() if u in keep and v in keep}
     assert set(sub.edges()) == original
     assert sub.m == len(original)
@@ -172,7 +172,7 @@ def test_induced_subgraph_edge_membership(g):
 def test_induced_subgraph_equals_validated_build(g, data):
     # the direct filtering must equal a round trip through build_graph
     mask = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
-    keep = [v for v in g.vertices() if mask[v]]
+    keep = [v for v in range(g.n) if mask[v]]
     edges = [(u, v) for u, v in g.edges() if mask[u] and mask[v]]
     assert induced_subgraph(g, keep) == build_graph(g.n, edges)
 
@@ -185,25 +185,25 @@ def test_induced_subgraph_rejects_out_of_range():
 
 def test_bipartition_frozen():
     assert two_coloring(cycle(6)) == ([0, 1, 0, 1, 0, 1], [])
-    assert two_coloring(cycle(5)) == ([0, 1, 0, 0, 1], [0, 1, 4, 2, 3])
+    assert two_coloring(cycle(5)) == ([0, 1, 0, 0, 1], [2])
     assert two_coloring(k33()) == ([0, 0, 0, 1, 1, 1], [])
     # the conflict sits in the second component, after a bipartite first one
     c6_c5 = oracles.disjoint_union(cycle(6), cycle(5))
-    assert two_coloring(c6_c5) == ([0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1], [6, 7, 10, 8, 9])
+    assert two_coloring(c6_c5) == ([0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1], [8])
 
 
 @given(graphs(max_n=10))
 @settings(max_examples=80)
 def test_two_coloring_sound(g):
-    color, odd = two_coloring(g)
+    color, clash = two_coloring(g)
     d = oracles.floyd_warshall(g)
-    for v in g.vertices():
+    for v in range(g.n):
         # BFS layer parity from the smallest vertex of v's component
-        root = min(u for u in g.vertices() if d[v][u] < INF)
+        root = min(u for u in range(g.n) if d[v][u] < INF)
         assert color[v] == d[root][v] % 2
-    assert sorted(odd) == oracles.odd_cycle_vertices(g)
-    if not odd:
-        assert all(color[u] != color[v] for u, v in g.edges())
+    # the smaller end of every same-color edge, ascending, once each
+    assert clash == sorted({u for u, v in g.edges() if color[u] == color[v]})
+    assert (clash == []) == (oracles.odd_cycle_vertices(g) == [])
 
 
 def test_shortest_odd_cycle_frozen():
@@ -231,7 +231,7 @@ def test_shortest_odd_cycle_minimal_and_chordless(g):
     assert len(cyc) == want
     assert len(set(cyc)) == len(cyc)
     for i in range(len(cyc)):
-        assert g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
+        assert cyc[(i + 1) % len(cyc)] in g.adj[cyc[i]]
     # minimum odd cycles have no chords
     assert oracles.is_chordless(g, cyc)
     # canonical form: smallest vertex first, smaller successor

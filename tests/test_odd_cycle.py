@@ -4,7 +4,9 @@ import pytest
 
 from packfour.errors import StuckOddCycle
 from packfour.generators import inflate, k4, petersen, prism, problem1_family, random_cubic
-from packfour.graph import build_graph, find_claw, induced_subgraph, list_triangles, two_coloring
+from packfour.formats import coloring_from_certificate, read_certificate
+from packfour.graph import (build_graph, find_claw, induced_subgraph, is_cubic, list_triangles,
+                            two_coloring)
 from packfour.odd_cycle import Addition, addable_side, reduce_odd_cycles
 from packfour.packing import SSpec, verify_spacking
 from packfour.pipeline import color_claw_free_cubic
@@ -124,6 +126,19 @@ def test_reduce_matches_reference_reducer():
         assert got == reduction_outcome(oracles.reference_reduce_odd_cycles, g, pair)
         outcomes.append(got[0] if got[0] == "stuck" else len(got[1]))
     assert "stuck" in outcomes and max(o for o in outcomes if o != "stuck") > 20
+
+
+@pytest.mark.parametrize("k", [3, 10, 30])
+def test_reduce_diamond_chain_matches_reference_reducer(k):
+    # the first claw-free family whose reducer absorbs, once per 2-switch
+    g = oracles.diamond_chain(k)
+    assert is_cubic(g) and find_claw(g) is None
+    pair, _ = break_triangles(g)
+    state, additions = reduce_odd_cycles(g, pair)
+    assert (state, additions) == oracles.reference_reduce_odd_cycles(g, pair)
+    assert [a.cycle_length for a in additions] == [17] * (k - 1)
+    cg, s, coloring = coloring_from_certificate(read_certificate(color_claw_free_cubic(g)[1]))
+    assert cg == g and verify_spacking(g, s, coloring) is None
 
 
 def test_forced_petersen_sticks_like_reference_reducer():

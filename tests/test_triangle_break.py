@@ -43,7 +43,7 @@ def k4_component_vertices(g) -> frozenset[int]:
     nxg.add_edges_from(g.edges())
     out: set[int] = set()
     for comp in nx.connected_components(nxg):
-        if len(comp) == 4 and all(g.has_edge(u, v)
+        if len(comp) == 4 and all(v in g.adj[u]
                                   for u, v in itertools.combinations(comp, 2)):
             out.update(comp)
     return frozenset(out)  # cached, so immutable
