@@ -15,14 +15,17 @@ the first surviving triangle and it strictly increases the integer weight,
 which never exceeds 2n, so a run takes at most 2n steps.
 
 Set-up is eager and reads the cubic input's adjacency tuples directly: the
-triangles, an index from each vertex to the triangles through it (weights,
+triangles (the pipeline lists them once for its claw check and hands them
+in), an index from each vertex to the triangles through it (weights,
 triangle mates and the K4 placement read it), and each vertex's radius-2
-ball, graph.ball2.  The pair is mutable search state, updated in place from
-the triangles of the moved vertices only: the sides, the chosen count on
-each triangle, the weight and the survivor count.  The first
+ball, graph.ball2_table.  The pair is mutable search state, updated in
+place from the triangles of the moved vertices only: the sides, the chosen
+count on each triangle, the weight and the survivor count.  The first
 surviving triangle comes off a min-heap of triangle indices with lazy
 deletion; a removal can revive a triangle, so its index goes back on the
-heap.  A PackingPair is built only where the pair leaves the search.
+heap.  A PackingPair is built only where the pair leaves the search, and
+the step records, Move and AppliedMove, are named tuples: every step builds
+two, and a tuple is built without a frozen dataclass's per-field setattr.
 
 Moves around a triangle are generated lazily in canonical order
 (Move.sort_key: additions, then removals), and a step takes the first.  An
@@ -52,10 +55,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import Stuck
-from .graph import Graph, Triangle, ball2, list_triangles, require_cubic
+from .graph import Graph, Triangle, ball2_table, list_triangles, require_cubic
 
 SIDE_A = 0
 SIDE_B = 1
@@ -77,8 +80,7 @@ class PackingPair:
         return self.a | self.b
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     add_a: tuple[int, ...] = ()
     add_b: tuple[int, ...] = ()
     remove_a: int | None = None
@@ -91,8 +93,7 @@ class Move:
         return (adds, rems)
 
 
-@dataclass(frozen=True)
-class AppliedMove:
+class AppliedMove(NamedTuple):
     move: Move
     weight_before: int
     weight_after: int
@@ -114,10 +115,12 @@ class _Search:
     """The triangle index, mates and radius-2 balls of one graph, and the pair
     the search holds on it, kept as mutable state and updated in place."""
 
-    def __init__(self, g: Graph, a=(), b=()):
-        require_cubic(g)
+    def __init__(self, g: Graph, a=(), b=(), triangles: list[Triangle] | None = None):
+        if triangles is None:
+            require_cubic(g)
+            triangles = list_triangles(g)
         self.g = g
-        self.triangles: list[Triangle] = list_triangles(g)
+        self.triangles = triangles
         self.tri_by_vertex: list[list[int]] = [[] for _ in range(g.n)]
         # the vertices of the triangles through each vertex, itself included
         self.mates: list[set[int]] = [set() for _ in range(g.n)]
@@ -126,7 +129,7 @@ class _Search:
                 self.tri_by_vertex[v].append(i)
                 self.mates[v].update(t)
         self.wvec = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
-        self.ball2 = [ball2(g.adj, v) for v in range(g.n)]
+        self.ball2 = ball2_table(g.adj)
         self.sides = (set(a), set(b))
         marked = self.sides[SIDE_A] | self.sides[SIDE_B]
         self.weight = sum(map(self.wvec.__getitem__, marked))
@@ -168,10 +171,21 @@ class _Search:
             heapq.heappop(heap)
         return self.triangles[heap[0]]
 
+    def near(self, t: Triangle) -> set[int]:
+        """The vertices within distance 3 of t: the radius-2 balls of the
+        nine vertices on t's adjacency tuples.  Their union is that of the
+        balls of t's three neighbours off t, so three balls are read, not
+        nine.  In a cubic graph each vertex x of t has one neighbour o off t,
+        and ball2(o) holds ball2(x) but for the other two vertices off t,
+        whose balls are read too; in a K4 or a diamond some of the three are
+        one vertex."""
+        adj = self.g.adj
+        return set().union(*[self.ball2[o] for o in adj[t[0]] + adj[t[1]] + adj[t[2]]
+                             if o not in t])
+
     def improving_moves(self, t: Triangle) -> Iterator[Move]:
         """Valid strictly weight-increasing moves whose additions lie within
-        distance 3 of t (the radius-2 balls of the vertices on t's three
-        adjacency tuples), generated in Move.sort_key() order.
+        distance 3 of t (near), generated in Move.sort_key() order.
 
         Additions are (vertex, side) items: one, or two on distinct vertices,
         listed in one pass over the sorted candidates.  Each item settles its
@@ -189,10 +203,8 @@ class _Search:
         """
         ball2, mates, w = self.ball2, self.mates, self.wvec
         in_a, in_b = self.sides
-        adj = self.g.adj
-        near = set().union(*map(ball2.__getitem__, adj[t[0]] + adj[t[1]] + adj[t[2]]))
         items = []
-        for v in sorted(near):
+        for v in sorted(self.near(t)):
             if w[v]:  # the sides are disjoint: at most one of these fails
                 if v not in in_a:
                     items.append((v, SIDE_A))
@@ -295,15 +307,19 @@ def enumerate_improving_moves(g: Graph, pair: PackingPair, t: Triangle) -> Itera
     yield from _Search(g, pair.a, pair.b).improving_moves(t)
 
 
-def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
+def break_triangles(g: Graph, triangles: list[Triangle] | None = None
+                    ) -> tuple[PackingPair, list[AppliedMove]]:
     """Run the search to a pair with no surviving triangle; return it with its trace.
 
-    The input must be cubic.  K4 components get their fixed placement first;
-    then the loop picks the first surviving triangle and applies the first
-    strictly weight-increasing move whose additions lie within distance 3 of
-    it.  Raises Stuck when that triangle has no such move.
+    The input must be cubic.  Called alone, it checks that (NotCubic) and
+    lists the triangles itself; a caller that has done both, as the
+    pipeline does for its claw check, passes list_triangles(g) as
+    triangles.  K4 components get their fixed placement first; then the
+    loop picks the first surviving triangle and applies the first strictly
+    weight-increasing move whose additions lie within distance 3 of it.
+    Raises Stuck when that triangle has no such move.
     """
-    search = _Search(g)
+    search = _Search(g, triangles=triangles)
     trace: list[AppliedMove] = []
 
     def step(move: Move) -> None:

@@ -64,9 +64,25 @@ def cached_triangles(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def is_k_packing(g: Graph, s, k: int) -> bool:
-    """True iff the vertices of s are pairwise at distance > k."""
-    d = cached_distances(g)
-    return all(d[u][v] > k for u, v in itertools.combinations(sorted(set(s)), 2))
+    """True iff the vertices of s are pairwise at distance > k: a BFS to
+    depth k from each member meets no other member.  O(|s| * ball) where
+    Floyd-Warshall would be O(n^3); test_is_k_packing_agrees_with_floyd_warshall
+    checks the two agree."""
+    members = set(s)
+    for src in members:
+        seen = {src}
+        layer = [src]
+        for _ in range(k):
+            nxt = []
+            for u in layer:
+                for v in g.adj[u]:
+                    if v not in seen:
+                        if v in members:
+                            return False
+                        seen.add(v)
+                        nxt.append(v)
+            layer = nxt
+    return True
 
 
 def recompute_pair(g: Graph, a, b) -> PackingPair:

@@ -26,8 +26,8 @@ from packfour.generators import (
     problem1_family,
     random_cubic,
 )
-from packfour.graph import (find_claw, induced_subgraph, is_cubic, list_triangles, two_coloring,
-                            vertices_within)
+from packfour.graph import (ball2, find_claw, induced_subgraph, is_cubic, list_triangles,
+                            two_coloring, vertices_within)
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
 from packfour import pipeline
@@ -230,15 +230,18 @@ def test_criterion_8_problem2_experiment(corpus, tmp_path, capsys):
 
 def test_ball_table_matches_vertices_within(corpus):
     # the breaker's radius-2 balls, read straight off the adjacency, against
-    # the one general bounded-ball query, on every corpus graph and on seeded
-    # random cubic graphs and their inflations, K4 components among them
+    # the one general bounded-ball query and against graph.ball2, which the
+    # reducer reads, on every corpus graph and on seeded random cubic graphs
+    # and their inflations, K4 components among them
     cases = list(corpus)
     for n in (4, 8, 16, 30):
         for seed in range(3):
             g = random_cubic(n, seed=seed)
             cases += [g, inflate(g), oracles.disjoint_union(k4(), g, k4())]
     for g in cases:
-        assert _Search(g).ball2 == [vertices_within(g, [v], 2) for v in range(g.n)]
+        balls = _Search(g).ball2
+        assert balls == [vertices_within(g, [v], 2) for v in range(g.n)]
+        assert balls == [ball2(g.adj, v) for v in range(g.n)]
 
 
 def test_reducer_hands_over_the_remainder_coloring(corpus, monkeypatch):

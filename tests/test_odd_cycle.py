@@ -137,6 +137,7 @@ def test_reduce_diamond_chain_matches_reference_reducer(k):
     state, additions = reduce_odd_cycles(g, pair)
     assert (state, additions) == oracles.reference_reduce_odd_cycles(g, pair)
     assert [a.cycle_length for a in additions] == [17] * (k - 1)
+    check_reduction(g, pair, state, additions)
     cg, s, coloring = coloring_from_certificate(read_certificate(color_claw_free_cubic(g)[1]))
     assert cg == g and verify_spacking(g, s, coloring) is None
 

@@ -44,7 +44,7 @@ def test_parse_sspec():
 
 
 def test_is_k_packing():
-    # the Floyd-Warshall reference the acceptance and reducer tests rely on
+    # the bounded-BFS reference the acceptance and reducer tests rely on
     is_k_packing = oracles.is_k_packing
     g = prism()
     assert is_k_packing(g, [], 5)
@@ -56,6 +56,16 @@ def test_is_k_packing():
     assert not is_k_packing(k33(), [0, 1, 2], 2)
     # duplicates collapse to one member
     assert is_k_packing(g, [2, 2], 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_is_k_packing_agrees_with_floyd_warshall(g, data):
+    s = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=min(g.n, 5)))
+    k = data.draw(st.integers(0, 4))
+    d = oracles.floyd_warshall(g)
+    want = all(d[u][v] > k for u in s for v in s if u != v)
+    assert oracles.is_k_packing(g, s, k) == want
 
 
 def test_verify_accepts_valid_colorings():

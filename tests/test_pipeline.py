@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from packfour.errors import NotClawFree, NotCubic, RefusesUnverified, StuckOddCycle
 from packfour.formats import coloring_from_certificate, read_certificate
@@ -14,10 +15,11 @@ from packfour.generators import (
     k33,
     petersen,
     prism,
+    problem1_family,
     random_cubic,
 )
 from packfour import pipeline
-from packfour.graph import induced_subgraph, two_coloring
+from packfour.graph import build_graph, find_claw, induced_subgraph, is_cubic, two_coloring
 from packfour.odd_cycle import ReductionState
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
@@ -71,6 +73,50 @@ def test_precondition_errors():
     assert e.value.claw == (0, (1, 4, 5))
     with pytest.raises(NotClawFree):
         color_claw_free_cubic(k33())
+
+
+def check_claw_precondition(g):
+    # color raises NotClawFree carrying find_claw's claw exactly when there is one
+    claw = find_claw(g)
+    if claw is None:
+        coloring, _ = color_claw_free_cubic(g)
+        assert verify_spacking(g, S1122, coloring) is None
+    else:
+        with pytest.raises(NotClawFree) as e:
+            color_claw_free_cubic(g)
+        assert e.value.claw == claw
+        assert str(e.value) == str(NotClawFree(claw))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(oracles.cubic_graphs(max_n=20), oracles.cubic_graphs(max_n=12).map(inflate)))
+def test_claw_precondition_matches_find_claw(g):
+    check_claw_precondition(g)
+
+
+def test_claw_precondition_matches_find_claw_on_gadgets():
+    for n in (10, 20, 40):
+        for seed in range(3):
+            check_claw_precondition(problem1_family(n, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles.graphs(min_n=1, max_n=10), st.booleans())
+def test_non_cubic_raises_not_cubic_before_the_claw_check(g, force):
+    assume(not is_cubic(g))
+    with pytest.raises(NotCubic):
+        color_claw_free_cubic(g, force=force)
+
+
+def test_clawed_non_cubic_raises_not_cubic():
+    # Petersen less one edge, and K_{1,3}: both hold a claw, and both fail
+    # the cubic check first
+    less = build_graph(10, [e for e in petersen().edges() if e != (0, 1)])
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    for g in (less, star):
+        assert find_claw(g) is not None
+        with pytest.raises(NotCubic):
+            color_claw_free_cubic(g)
 
 
 def test_force_surfaces_stuck_instead_of_lying():

@@ -8,6 +8,7 @@ import json
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packfour import triangle_break
 from packfour.errors import NotCubic, Stuck
@@ -21,7 +22,7 @@ from packfour.generators import (
     prism,
     random_cubic,
 )
-from packfour.graph import build_graph
+from packfour.graph import build_graph, vertices_within
 from packfour.triangle_break import (
     HEAVY,
     LIGHT,
@@ -566,6 +567,34 @@ def test_applied_move_record_shape():
         "removeA": 0, "removeB": None, "addA": [3], "addB": [0],
         "w_before": 1, "w_after": 2, "gamma_after": 0,
     }
+
+
+def test_step_records_are_frozen_and_hash_by_their_fields():
+    m = Move(add_a=(3,), add_b=(0,), remove_a=0)
+    am = AppliedMove(m, 1, 2, 0)
+    for record, field in ((m, "add_a"), (m, "remove_b"), (am, "move"), (am, "weight_after")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    # as the frozen dataclasses did: the hash of the tuple of the fields,
+    # equality by fields, and the same repr
+    assert hash(m) == hash(((3,), (0,), 0, None))
+    assert hash(am) == hash((m, 1, 2, 0))
+    assert {m, Move((3,), (0,), 0)} == {m} and Move() == Move((), (), None, None)
+    assert repr(am) == ("AppliedMove(move=Move(add_a=(3,), add_b=(0,), remove_a=0, "
+                        "remove_b=None), weight_before=1, weight_after=2, surviving_after=0)")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(oracles.cubic_graphs(max_n=20), oracles.cubic_graphs(max_n=12).map(inflate),
+                 st.integers(2, 6).map(diamond_necklace), st.just(k4()),
+                 st.just(oracles.disjoint_union(k4(), prism()))))
+def test_near_reads_three_balls_for_nine(g):
+    # the balls of t's three neighbours off t cover the balls of the nine
+    # vertices on t's adjacency tuples, K4 and diamonds included
+    search = _Search(g)
+    for t in search.triangles:
+        nine = set().union(*[search.ball2[u] for x in t for u in g.adj[x]])
+        assert search.near(t) == nine == vertices_within(g, t, 3)
 
 
 def test_pair_is_frozen():
