@@ -94,20 +94,15 @@ def vertices_within(g: Graph, sources, radius: int) -> set[int]:
 
 
 def ball2(adj, v: int) -> set[int]:
-    """The vertices within distance 2 of v in a cubic graph, read off the
-    adjacency tuples: v's neighbours and theirs, v among the latter.
-
-    The one ball rule; ball2_table applies the same concatenation to every
-    vertex.  Each ball holds the ints its neighbours' tuples hold, not a
-    second copy of any vertex."""
-    a = adj[v]
-    return set(a + adj[a[0]] + adj[a[1]] + adj[a[2]])
-
-
-def ball2_table(adj) -> list[set[int]]:
-    """[ball2(adj, v) for every vertex v], written out in one comprehension
-    so that building the table makes no call per vertex."""
-    return [set(a + adj[a[0]] + adj[a[1]] + adj[a[2]]) for a in adj]
+    """The vertices within distance 2 of v, read off the adjacency tuples:
+    v, its neighbours and theirs."""
+    ball = set(adj[v])
+    for x in adj[v]:
+        ball.update(adj[x])
+    # last, so a vertex with a neighbour keeps the int its neighbour's
+    # tuple holds, not a second copy per ball
+    ball.add(v)
+    return ball
 
 
 def list_triangles(g: Graph) -> list[Triangle]:

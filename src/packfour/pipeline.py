@@ -1,11 +1,5 @@
 """End-to-end (1,1,2,2)-packing coloring of claw-free cubic graphs.
 
-The preconditions come first: cubic, then claw-free.  In a cubic graph a
-vertex is a claw centre exactly when no two of its three neighbours are
-adjacent, that is when it lies on no triangle, and then its leaves are its
-whole adjacency tuple.  So the triangles are listed once, the claw check
-reads them, and the triangle breaker reuses the list.
-
 Stage one extracts two disjoint 2-packings that hit every triangle; stage two
 absorbs one vertex per remaining odd cycle until the remainder is bipartite.
 The reducer hands over the 2-coloring that ended its loop, on g's own vertex
@@ -20,7 +14,7 @@ from __future__ import annotations
 
 from .errors import NotClawFree
 from .formats import write_certificate
-from .graph import Graph, list_triangles, require_cubic
+from .graph import Graph, find_claw, require_cubic
 from .odd_cycle import reduce_odd_cycles
 from .packing import Coloring
 from .triangle_break import break_triangles
@@ -32,20 +26,17 @@ CLASS_1A, CLASS_1B, CLASS_2A, CLASS_2B = 1, 2, 3, 4
 def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]:
     """Color g with classes 1a/1b/2a/2b; returns (coloring, certificate JSON).
 
-    Preconditions are checked: cubic always (NotCubic), then claw-freeness
-    unless `force` is set.  A claw is reported as graph.find_claw would:
-    NotClawFree((c, g.adj[c])) for the smallest vertex c on no triangle.
-    Experimental runs on non-claw-free cubic graphs may raise StuckOddCycle,
-    which is surfaced verbatim — never a bad certificate.
+    Preconditions are checked in order: cubic always (NotCubic), then
+    claw-freeness unless `force` is set (NotClawFree with graph.find_claw's
+    first claw).  Experimental runs on non-claw-free cubic graphs may raise
+    StuckOddCycle, which is surfaced verbatim — never a bad certificate.
     """
     require_cubic(g)
-    triangles = list_triangles(g)
     if not force:
-        on_triangle = set().union(*triangles)
-        if len(on_triangle) < g.n:
-            c = next(v for v in range(g.n) if v not in on_triangle)
-            raise NotClawFree((c, g.adj[c]))
-    pair, lemma_trace = break_triangles(g, triangles)
+        claw = find_claw(g)
+        if claw is not None:
+            raise NotClawFree(claw)
+    pair, lemma_trace = break_triangles(g)
     state, reducer_trace = reduce_odd_cycles(g, pair)
     coloring = [CLASS_1A + c for c in state.color]
     for v in state.ext_a:

@@ -15,17 +15,17 @@ the first surviving triangle and it strictly increases the integer weight,
 which never exceeds 2n, so a run takes at most 2n steps.
 
 Set-up is eager and reads the cubic input's adjacency tuples directly: the
-triangles (the pipeline lists them once for its claw check and hands them
-in), an index from each vertex to the triangles through it (weights,
+triangles, an index from each vertex to the triangles through it (weights,
 triangle mates and the K4 placement read it), and each vertex's radius-2
-ball, graph.ball2_table.  The pair is mutable search state, updated in
-place from the triangles of the moved vertices only: the sides, the chosen
-count on each triangle, the weight and the survivor count.  The first
-surviving triangle comes off a min-heap of triangle indices with lazy
-deletion; a removal can revive a triangle, so its index goes back on the
-heap.  A PackingPair is built only where the pair leaves the search, and
-the step records, Move and AppliedMove, are named tuples: every step builds
-two, and a tuple is built without a frozen dataclass's per-field setattr.
+ball, its own adjacency tuple and its three neighbours' joined.  The pair is
+mutable search state, updated in place from the triangles of the moved
+vertices only: the sides, the chosen count on each triangle, the weight and
+the survivor count.  The first surviving triangle comes off a min-heap of
+triangle indices with lazy deletion; a removal can revive a triangle, so its
+index goes back on the heap.  A PackingPair is built only where the pair
+leaves the search, and the step records, Move and AppliedMove, are named
+tuples: every step builds two, and a tuple is built without a frozen
+dataclass's per-field setattr.
 
 Moves around a triangle are generated lazily in canonical order
 (Move.sort_key: additions, then removals), and a step takes the first.  An
@@ -58,7 +58,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import Stuck
-from .graph import Graph, Triangle, ball2_table, list_triangles, require_cubic
+from .graph import Graph, Triangle, list_triangles, require_cubic
 
 SIDE_A = 0
 SIDE_B = 1
@@ -115,12 +115,10 @@ class _Search:
     """The triangle index, mates and radius-2 balls of one graph, and the pair
     the search holds on it, kept as mutable state and updated in place."""
 
-    def __init__(self, g: Graph, a=(), b=(), triangles: list[Triangle] | None = None):
-        if triangles is None:
-            require_cubic(g)
-            triangles = list_triangles(g)
+    def __init__(self, g: Graph, a=(), b=()):
+        require_cubic(g)
         self.g = g
-        self.triangles = triangles
+        self.triangles: list[Triangle] = list_triangles(g)
         self.tri_by_vertex: list[list[int]] = [[] for _ in range(g.n)]
         # the vertices of the triangles through each vertex, itself included
         self.mates: list[set[int]] = [set() for _ in range(g.n)]
@@ -129,7 +127,10 @@ class _Search:
                 self.tri_by_vertex[v].append(i)
                 self.mates[v].update(t)
         self.wvec = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
-        self.ball2 = ball2_table(g.adj)
+        # graph.ball2 for a cubic graph, one comprehension with no call per
+        # vertex; v is among its neighbours' neighbours
+        adj = g.adj
+        self.ball2 = [set(a + adj[a[0]] + adj[a[1]] + adj[a[2]]) for a in adj]
         self.sides = (set(a), set(b))
         marked = self.sides[SIDE_A] | self.sides[SIDE_B]
         self.weight = sum(map(self.wvec.__getitem__, marked))
@@ -307,19 +308,16 @@ def enumerate_improving_moves(g: Graph, pair: PackingPair, t: Triangle) -> Itera
     yield from _Search(g, pair.a, pair.b).improving_moves(t)
 
 
-def break_triangles(g: Graph, triangles: list[Triangle] | None = None
-                    ) -> tuple[PackingPair, list[AppliedMove]]:
+def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
     """Run the search to a pair with no surviving triangle; return it with its trace.
 
-    The input must be cubic.  Called alone, it checks that (NotCubic) and
-    lists the triangles itself; a caller that has done both, as the
-    pipeline does for its claw check, passes list_triangles(g) as
-    triangles.  K4 components get their fixed placement first; then the
-    loop picks the first surviving triangle and applies the first strictly
-    weight-increasing move whose additions lie within distance 3 of it.
-    Raises Stuck when that triangle has no such move.
+    The input must be cubic (NotCubic otherwise).  K4 components get their
+    fixed placement first; then the loop picks the first surviving triangle
+    and applies the first strictly weight-increasing move whose additions
+    lie within distance 3 of it.  Raises Stuck when that triangle has no
+    such move.
     """
-    search = _Search(g, triangles=triangles)
+    search = _Search(g)
     trace: list[AppliedMove] = []
 
     def step(move: Move) -> None:

@@ -12,6 +12,7 @@ from packfour.errors import DuplicateEdge, SelfLoop, VertexOutOfRange
 from packfour.generators import cycle, k4, k33, petersen, prism, problem1_family, random_cubic
 from packfour.graph import (
     INF,
+    ball2,
     bfs_distances,
     build_graph,
     find_claw,
@@ -101,6 +102,14 @@ def test_vertices_within():
     assert vertices_within(g, [0], 2) == set(range(6))
     assert vertices_within(g, [], 2) == set()
     assert vertices_within(g, [0, 4], 1) == {0, 1, 2, 3, 4, 5}
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=60)
+def test_ball2_agrees_with_vertices_within_at_any_degree(g):
+    # the reducer asks for balls on graphs it does not check for cubicity
+    assert [ball2(g.adj, v) for v in range(g.n)] == [vertices_within(g, [v], 2)
+                                                     for v in range(g.n)]
 
 
 def test_list_triangles_frozen():

@@ -35,6 +35,16 @@ def test_addable_side_prefers_a():
         addable_side(g, {0}, {5}, 0)
 
 
+def test_addable_side_reads_every_neighbour():
+    # 0 has degree 4 and 5 hangs off its fourth neighbour 4, so 5 lies at
+    # distance 2 from 0 and blocks side a; degree 1 and 0 read balls too
+    g = build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
+    assert addable_side(g, {5}, set(), 0) == "B"
+    assert addable_side(g, {5}, {1}, 0) is None
+    assert addable_side(g, {0}, set(), 5) == "B"
+    assert addable_side(g, {0}, set(), 6) == "A"
+
+
 def test_addition_record():
     assert Addition(7, "A", 5).to_record() == {"vertex": 7, "side": "A", "cycle_length": 5}
 
