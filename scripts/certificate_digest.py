@@ -16,6 +16,8 @@ re-pin PINNED and say why.
 The set: the named claw-free graphs, diamond necklaces, triangle inflations
 of seeded random cubic graphs, and clawed problem1 gadgets colored with
 force, the only inputs here on which the odd-cycle reducer absorbs vertices.
+The last gadget, problem1_family(1000, 1) on 4,000 vertices, absorbs 81
+vertices from one giant remainder component, on long odd cycles.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from packfour.generators import (  # noqa: E402
     diamond_necklace, inflate, k4, k33, petersen, prism, problem1_family, random_cubic)
 from packfour.pipeline import color_claw_free_cubic  # noqa: E402
 
-PINNED = "354754f74afd4fb5074c41d83d39b9fdfe6c6bfa40a93bfe6a21bdc0d2054dc3"
+PINNED = "b10df5dc88772a65195c55051a4f5942a71d32d4c9dc067d763a4caf8b1aae3a"
 
 
 def cases():
@@ -47,6 +49,7 @@ def cases():
     for n in (10, 20, 40, 60, 100, 200):
         for seed in range(4):
             yield problem1_family(n, seed), True
+    yield problem1_family(1000, 1), True
 
 
 def digest() -> tuple[str, int, int]:

@@ -22,7 +22,6 @@ import base64
 import json
 import re
 from itertools import chain
-from math import isqrt
 
 from .errors import (
     BadChar,
@@ -75,10 +74,16 @@ def parse_graph6(line: str) -> Graph:
     raw = base64.b64decode(b64 + b"A" * (-len(b64) % 4))
     bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     adj: list[list[int]] = [[] for _ in range(n)]
+    # bit k is edge (u, v) with u = k - v(v-1)/2; the set bits come in
+    # ascending order, so column v only ever moves forward
+    v, start, end = 1, 0, 1  # column v holds the bits start .. end - 1
     k = bits.find("1")
     while 0 <= k < nbits:
-        v = (1 + isqrt(8 * k + 1)) // 2
-        u = k - v * (v - 1) // 2
+        while k >= end:
+            v += 1
+            start = end
+            end += v
+        u = k - start
         adj[u].append(v)
         adj[v].append(u)
         k = bits.find("1", k + 1)

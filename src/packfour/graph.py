@@ -165,31 +165,49 @@ def _canonical_cycle(seq: list[int]) -> OddCycle:
     return tuple(rot)
 
 
-def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
-    """BFS 2-coloring of every component, roots ascending; returns (color, clash).
+def color_components(adj, roots, color: list[int]) -> list[tuple[list[int], list[int]]]:
+    """BFS 2-coloring of every uncolored component, written into color (-1 is
+    uncolored), each rooted at the first of roots it holds.
 
-    Each root, the smallest vertex of its component, gets color 0 and every
-    other vertex the opposite color of its BFS parent.  clash lists, ascending
-    and once each, the smaller ends of the edges whose ends share a color.
-    Every odd cycle holds such an edge and a clash edge closes an odd cycle
-    with the BFS tree, so clash is empty exactly when g is bipartite, and then
-    color is a proper 2-coloring.
+    A root gets color 0 and every other vertex the opposite color of its BFS
+    parent.  Returns, for each non-bipartite component in root order, its
+    vertices in BFS order and the smaller ends of its edges whose ends share
+    a color, unordered, one per edge.  Every odd cycle holds such an edge and
+    such an edge closes an odd cycle with the BFS tree.
     """
-    color = [-1] * g.n
-    clash: set[int] = set()
-    for root in range(g.n):
+    odd = []
+    for root in roots:
         if color[root] != -1:
             continue
         color[root] = 0
         comp = [root]
+        clash = []
         for u in comp:  # grows while iterated: a BFS queue
-            for v in g.adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
+            cu = color[u]
+            for v in adj[u]:
+                cv = color[v]
+                if cv == -1:
+                    color[v] = 1 - cu
                     comp.append(v)
-                elif color[v] == color[u] and u < v:
-                    clash.add(u)
-    return color, sorted(clash)
+                elif cv == cu and u < v:
+                    clash.append(u)
+        if clash:
+            odd.append((comp, clash))
+    return odd
+
+
+def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
+    """BFS 2-coloring of every component, roots ascending; returns (color, clash).
+
+    Each root, the smallest vertex of its component, gets color 0 and every
+    other vertex the opposite color of its BFS parent (color_components).
+    clash lists, ascending and once each, the smaller ends of the edges whose
+    ends share a color, so clash is empty exactly when g is bipartite, and
+    then color is a proper 2-coloring.
+    """
+    color = [-1] * g.n
+    odd = color_components(g.adj, range(g.n), color)
+    return color, sorted({u for _, clash in odd for u in clash})
 
 
 def _path_to_root(v: int, parent: dict[int, int]) -> list[int]:
@@ -213,42 +231,89 @@ def _odd_cycle_from_conflict(u: int, v: int, parent: dict[int, int]) -> OddCycle
     return _canonical_cycle(cycle)
 
 
-def _odd_layer(g: Graph, s: int, radius: int) -> tuple[int, dict[int, int], list[int]] | None:
-    # BFS from s, layer by layer, out to depth radius; stops at the first
-    # layer d that holds an edge and returns (d, dist, layer d), where dist
-    # is exact for every vertex within depth d.  None if no layer up to
-    # radius holds one.
-    adj = g.adj
-    dist = {s: 0}
+def _odd_layer(adj, s: int, radius: int, depth: list[int],
+               low: list[int]) -> tuple[int, int] | None:
+    # BFS from s, layer by layer, out to depth radius.  depth[y] is y's depth
+    # and low[y] the least vertex on a shortest path from s to y: the least of
+    # y and the low of every neighbour one layer up, not only the one that
+    # found y.  After the first layer d that holds an edge, returns (d, the
+    # least low over the ends of the edges inside it); None if no layer up to
+    # radius holds one.  depth is all -1 on entry and is reset on return
+    # entry by entry, so a search costs what it visits.
+    depth[s] = 0
+    low[s] = s
+    seen = [s]
     layer = [s]
     d = 0
+    found = None
+    n = len(adj)  # no vertex: least holds n while no edge lies inside the layer
     while layer:
+        least = n
+        nxt = []
+        for x in layer:
+            lx = low[x]
+            for y in adj[x]:
+                dy = depth[y]
+                if dy < 0:
+                    depth[y] = d + 1
+                    low[y] = lx if lx < y else y
+                    nxt.append(y)
+                elif dy >= d:  # nested so that a parent, dy == d - 1, costs two tests
+                    if dy > d:
+                        if lx < low[y]:
+                            low[y] = lx
+                    elif lx < least:
+                        least = lx
+        seen += nxt
+        if least < n:
+            found = (d, least)
+            break
+        if d == radius:
+            break
+        layer = nxt
+        d += 1
+    for x in seen:
+        depth[x] = -1
+    return found
+
+
+def odd_girth_record(adj, sources, depth: list[int], low: list[int]) -> tuple[int, int]:
+    """(h, least) for a part of a graph whose odd cycles all meet sources:
+    its odd girth is 2h + 1 and least is the smallest vertex on its shortest
+    odd cycles.
+
+    Searches each source in the given order, each BFS cut off at the
+    shallowest edge-holding layer found so far, ties included.  depth and
+    low are scratch lists over the vertex ids, depth all -1; the searches
+    leave it so, and a caller running many records keeps the two lists.
+    sources must meet an odd cycle.
+    """
+    record = (len(adj), len(adj))
+    for s in sources:
+        found = _odd_layer(adj, s, record[0], depth, low)
+        if found is not None and found < record:
+            record = found
+    return record
+
+
+def witness_cycle(adj, first: int, h: int) -> OddCycle:
+    """The odd cycle of length 2h + 1 through first that one BFS from first,
+    stopped at depth h, gives: the lexicographically first edge with both
+    ends at depth h, its two tree paths spliced.  first must lie on a
+    shortest odd cycle of length 2h + 1."""
+    parent = {first: first}
+    layer = [first]
+    for _ in range(h):
         nxt = []
         for x in layer:
             for y in adj[x]:
-                dy = dist.get(y)
-                if dy is None:
-                    dist[y] = d + 1
+                if y not in parent:
+                    parent[y] = x
                     nxt.append(y)
-                elif dy == d:
-                    return d, dist, layer
-        if d == radius:
-            return None
         layer = nxt
-        d += 1
-    return None
-
-
-def _least_on_geodesics(g: Graph, d: int, dist: dict[int, int], layer: list[int]) -> int:
-    # the smallest vertex on a shortest path from the BFS source to an end of
-    # an edge inside layer d, found by walking the layers back to the source
-    adj = g.adj
-    front = {x for x in layer if any(dist.get(y) == d for y in adj[x])}
-    least = min(front)
-    for t in range(d - 1, -1, -1):
-        front = {y for x in front for y in adj[x] if dist.get(y) == t}
-        least = min(least, min(front))
-    return least
+    inside = set(layer)
+    u, v = min((u, v) for u in layer for v in adj[u] if v > u and v in inside)
+    return _odd_cycle_from_conflict(u, v, parent)
 
 
 def shortest_odd_cycle(g: Graph) -> OddCycle | None:
@@ -263,8 +328,9 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     sees the cycle's opposite edge inside one layer.
 
     two_coloring runs first; a bipartite graph returns None at once.  A
-    caller that needs the 2-coloring too runs it itself and passes its clash
-    ends to shortest_odd_cycle_colored, which does the rest.
+    caller that holds the clash ends already passes them to
+    shortest_odd_cycle_colored, which does the rest; the odd-cycle reducer
+    runs its two parts, odd_girth_record and witness_cycle, per component.
     """
     return shortest_odd_cycle_colored(g, two_coloring(g)[1])
 
@@ -275,38 +341,21 @@ def shortest_odd_cycle_colored(g: Graph, clash: list[int]) -> OddCycle | None:
     None when clash is empty.  Every odd cycle holds a clash edge, one whose
     ends share a color, so the smaller ends of the clash edges meet every odd
     cycle, and only they are searched, in the ascending order clash lists
-    them.  Each search is a BFS cut off at the shallowest edge-holding layer
-    found so far, ties included; the least such depth h gives the odd girth
-    2h + 1.  A vertex on a shortest path from a source to an end of an edge
-    inside that source's layer h lies on a shortest odd cycle, and every
-    shortest odd cycle passes through a searched source, so walking the BFS
-    layers of the sources that reach depth h back from those ends marks
-    exactly the vertices on shortest odd cycles.  The smallest marked vertex
-    is the witness source; one BFS from it, stopped at depth h, gives the
-    lexicographically first edge with both ends at depth h, whose tree paths
-    are spliced into the cycle.
+    them (odd_girth_record).  Each search is a BFS cut off at the shallowest
+    edge-holding layer found so far, ties included; the least such depth h
+    gives the odd girth 2h + 1.  A vertex on a shortest path from a source
+    to an end of an edge inside that source's layer h lies on a shortest odd
+    cycle, and every shortest odd cycle passes through a searched source.
+    So each search carries, for every vertex it reaches, the least vertex on
+    any shortest path to it from the source, folded over all its neighbours
+    one layer up, and the least of those values over the ends of the edges
+    inside layer h is the smallest vertex on the shortest odd cycles through
+    that source; no search is walked back.  The smallest such vertex over
+    the sources is the witness source, and witness_cycle's one BFS from it,
+    stopped at depth h, gives the lexicographically first edge with both
+    ends at depth h, whose tree paths are spliced into the cycle.
     """
     if not clash:
         return None
-    adj = g.adj
-    h = first = g.n
-    for s in clash:
-        found = _odd_layer(g, s, h)
-        if found is None:
-            continue
-        if found[0] < h:
-            h, first = found[0], g.n
-        first = min(first, _least_on_geodesics(g, *found))
-    parent = {first: first}
-    layer = [first]
-    for _ in range(h):
-        nxt = []
-        for x in layer:
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    nxt.append(y)
-        layer = nxt
-    inside = set(layer)
-    u, v = min((u, v) for u in layer for v in adj[u] if v > u and v in inside)
-    return _odd_cycle_from_conflict(u, v, parent)
+    h, first = odd_girth_record(g.adj, clash, [-1] * g.n, [0] * g.n)
+    return witness_cycle(g.adj, first, h)

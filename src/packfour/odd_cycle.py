@@ -6,15 +6,30 @@ vertices in witness order, and absorb the first one that can join a side
 without breaking that side's 2-packing — side a is tried before side b.
 Distances are always measured in the original graph, not the remainder.
 
-Each round first 2-colors the remainder: a bipartite remainder, one with no
-clash edge (an edge whose ends share a color), ends the loop at once, and its
-2-coloring is handed on.  Otherwise graph.shortest_odd_cycle_colored runs a
-BFS from the smaller end of each clash edge two_coloring listed, since every
-odd cycle holds one, cut off at the shallowest edge-holding layer found so
-far.  Walking those BFS layers back from the ends of the edges inside the
-shallowest layer marks the vertices on shortest odd cycles, and one more BFS
-from the smallest of them, stopped at that layer, gives the witness, so the
-remainder need not be claw-free or of maximum degree 2.
+The loop keeps one record per non-bipartite component of the remainder,
+(h, least): the component's odd girth is 2h + 1 and least is the smallest
+vertex on its shortest odd cycles.  The records sit in a heap, and the
+global witness source, the smallest vertex on any shortest odd cycle of the
+remainder, is the least vertex of the least record, so a round pops that
+record.  A component's record comes from its own 2-coloring,
+graph.color_components from its smallest vertex: a BFS runs from the smaller
+end of each clash edge (an edge whose ends share a color), since every odd
+cycle holds one, cut off at the shallowest edge-holding layer found so far.
+Each search carries, for every vertex it reaches, the least vertex on any
+shortest path to it from the source, so the least vertex on the source's
+shortest odd cycles is read off the edges inside its last layer, with no
+walk back (graph.odd_girth_record).  One more BFS from the popped least
+vertex, stopped at that layer, gives the witness (graph.witness_cycle), so
+the remainder need not be claw-free or of maximum degree 2.
+
+An absorption changes only the absorbed vertex's component: its vertices
+are 2-colored again, in ascending order, so each piece it falls into is
+rooted at its smallest vertex, and each non-bipartite piece gets a new
+record.  The rest of the remainder is never touched again, so a run costs
+what its absorptions' components hold; one reducer run allocates the
+searches' depth and least-vertex lists once.  When the heap is empty every
+component is bipartite, and the colors written so far are those
+graph.two_coloring gives on the remainder.
 
 A vertex may join a side when its radius-2 ball, graph.ball2, misses that
 side.  The loop works on one live map from side to vertex set and one live
@@ -30,18 +45,19 @@ or raises StuckOddCycle carrying the offending cycle and a claw search result
 Only there, and at the normal return, is the state frozen into a
 ReductionState, whose remainder is every vertex on neither side; the caller
 already holds the breaker's pair it started from.
-At the normal return the state carries the last round's 2-coloring, that of
-the remainder on g's own ids with the chosen vertices isolated, so assembly
-needs no second pass over the remainder.
+At the normal return the state carries the remainder's 2-coloring on g's own
+ids with the chosen vertices isolated, so assembly needs no second pass over
+the remainder.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import StuckOddCycle
-from .graph import (Graph, ball2, find_claw, induced_subgraph, shortest_odd_cycle_colored,
-                    two_coloring)
+from .graph import (Graph, ball2, color_components, find_claw, induced_subgraph,
+                    odd_girth_record, witness_cycle)
 from .triangle_break import PackingPair
 
 
@@ -85,18 +101,27 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
     ext = {"A": set(pair.a), "B": set(pair.b)}
     live = list(induced_subgraph(g, set(range(g.n)) - pair.marked).adj)
     additions: list[Addition] = []
+    color = [-1] * g.n
+    depth = [-1] * g.n
+    low = [0] * g.n
+    records: list[tuple[int, int, list[int]]] = []  # (h, least, component)
+
+    def settle(roots) -> None:
+        # color every uncolored component met in roots' order, and record
+        # the non-bipartite ones
+        for comp, clash in color_components(live, roots, color):
+            h, least = odd_girth_record(live, sorted(set(clash)), depth, low)
+            heapq.heappush(records, (h, least, comp))
 
     def frozen(color) -> ReductionState:
         return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]),
                               frozenset(range(g.n)).difference(ext["A"], ext["B"]),
                               tuple(additions), color)
 
-    while True:
-        rest = Graph(g.n, tuple(live))
-        color, clash = two_coloring(rest)
-        if not clash:
-            return frozen(tuple(color)), additions
-        cycle = shortest_odd_cycle_colored(rest, clash)
+    settle(range(g.n))
+    while records:
+        h, first, comp = heapq.heappop(records)
+        cycle = witness_cycle(live, first, h)
         for v in cycle:
             side = addable_side(g, ext["A"], ext["B"], v)
             if side is not None:
@@ -105,6 +130,12 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
                     live[w] = tuple([x for x in live[w] if x != v])
                 live[v] = ()
                 additions.append(Addition(v, side, len(cycle)))
+                for x in comp:
+                    color[x] = -1
+                color[v] = 0
+                comp.sort()
+                settle(comp)
                 break
         else:
             raise StuckOddCycle(frozen(None), cycle, find_claw(g))
+    return frozen(tuple(color)), additions

@@ -26,8 +26,8 @@ from packfour.generators import (
     problem1_family,
     random_cubic,
 )
-from packfour.graph import (ball2, find_claw, induced_subgraph, is_cubic, list_triangles,
-                            two_coloring, vertices_within)
+from packfour.graph import (ball2, build_graph, find_claw, induced_subgraph, is_cubic,
+                            list_triangles, two_coloring, vertices_within)
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
 from packfour import pipeline
@@ -244,24 +244,64 @@ def test_ball_table_matches_vertices_within(corpus):
         assert balls == [ball2(g.adj, v) for v in range(g.n)]
 
 
+def bridged_odd_pieces():
+    # a Möbius ladder on 1..8 with its edge (1, 2) subdivided by 0, and a
+    # triangular prism on 10..15 with its edge (11, 12) subdivided by 9,
+    # joined by the bridge (0, 9): cubic, with claws at 0 and 9
+    return build_graph(16, [(0, 1), (0, 2), (0, 9), (1, 5), (1, 8), (2, 3), (2, 6), (3, 4),
+                            (3, 7), (4, 5), (4, 8), (5, 6), (6, 7), (7, 8), (9, 11), (9, 12),
+                            (10, 11), (10, 12), (10, 13), (11, 14), (12, 15), (13, 14),
+                            (13, 15), (14, 15)])
+
+
+def component(g, keep, v):
+    return vertices_within(induced_subgraph(g, keep), [v], g.n)
+
+
+def odd(g, keep):
+    return two_coloring(induced_subgraph(g, keep))[1] != []
+
+
 def test_reducer_hands_over_the_remainder_coloring(corpus, monkeypatch):
     # the 2-coloring that ends the reducer's loop, which assembly reads, is
-    # the one two_coloring gives on the remainder built afresh, on the corpus
-    # and on clawed gadgets colored with force, whose reducer absorbs
-    states = []
+    # the one two_coloring gives on the remainder built afresh, on the corpus,
+    # on diamond chains and on clawed gadgets colored with force, whose
+    # reducer absorbs; the chains and the two cases whose absorptions re-root
+    # or split a component also match the reference reducer
+    runs = []
 
     def kept(g, pair):
         state, additions = reduce_odd_cycles(g, pair)
-        states.append(state)
+        runs.append((pair, state, additions))
         return state, additions
 
     monkeypatch.setattr(pipeline, "reduce_odd_cycles", kept)
     gadgets = [problem1_family(n, seed) for n in (10, 20, 40, 60) for seed in range(4)]
-    for g, force in [(g, False) for g in corpus] + [(g, True) for g in gadgets]:
+    chains = [oracles.diamond_chain(k) for k in (3, 10, 30)]
+    # the second absorption on problem1_family(20, 1) takes 3, the smallest
+    # vertex of its component, whose bipartite rest must be re-rooted at its
+    # own smallest vertex; bridged_odd_pieces first absorbs 0, and its
+    # component falls into two non-bipartite pieces
+    rerooted, split = problem1_family(20, 1), bridged_odd_pieces()
+    cases = ([(g, False) for g in corpus + chains]
+             + [(g, True) for g in gadgets + [rerooted, split]])
+    for g, force in cases:
         coloring, _ = color_claw_free_cubic(g, force=force)
-        state = states[-1]
+        _, state, _ = runs[-1]
         assert state.color == tuple(two_coloring(induced_subgraph(g, state.remaining))[0])
         assert [coloring[v] - 1 for v in sorted(state.remaining)] == [
             state.color[v] for v in sorted(state.remaining)]
-    assert len(states) == len(corpus) + len(gadgets)
-    assert sum(len(state.additions) for state in states[len(corpus):]) > 0
+    assert len(runs) == len(cases)
+    assert sum(len(additions) for _, _, additions in runs[len(corpus):]) > 0
+    checked = runs[len(corpus):len(corpus) + len(chains)] + runs[-2:]
+    for g, (pair, state, additions) in zip(chains + [rerooted, split], checked):
+        assert (state, additions) == oracles.reference_reduce_odd_cycles(g, pair)
+    pair, _, additions = runs[-2]
+    second = set(range(rerooted.n)) - pair.marked - {additions[0].vertex}
+    comp = component(rerooted, second, 3)
+    assert additions[1].vertex == 3 == min(comp) and not odd(rerooted, comp - {3})
+    first = set(range(split.n)) - runs[-1][0].marked
+    comp, rest = component(split, first, 0), first - {0}
+    pieces = component(split, rest, 1), component(split, rest, 11)
+    assert runs[-1][2][0].vertex == 0 and pieces[0] | pieces[1] == comp - {0}
+    assert not pieces[0] & pieces[1] and all(odd(split, p) for p in pieces)

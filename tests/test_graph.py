@@ -228,6 +228,23 @@ def test_shortest_odd_cycle_frozen():
     assert oracles.reference_shortest_odd_cycle(bowtie) == (0, 3, 5)
 
 
+def test_shortest_odd_cycle_folds_every_parent():
+    # three paths join 2 and 6: 2-8-3-11-10-6, 2-4-9-14-6 and 2-5-1-7-6, and
+    # the pendant path 10-13-12-0 makes 0 the 2-coloring's root, so 2 ends the
+    # one clash edge and is the one source searched.  In its BFS the edge
+    # (6, 10) lies inside layer 4, and 6 is found from 14 before 7; the least
+    # vertex on the two tied 9-cycles, 1, is reached only through 7, 6's
+    # second parent
+    g = build_graph(15, [(0, 12), (1, 5), (1, 7), (2, 4), (2, 5), (2, 8), (3, 8), (3, 11),
+                         (4, 9), (6, 7), (6, 10), (6, 14), (9, 14), (10, 11), (10, 13), (12, 13)])
+    assert two_coloring(g)[1] == [2]
+    depth = [-1] * g.n
+    assert graph._odd_layer(g.adj, 2, g.n, depth, [0] * g.n) == (4, 1)
+    assert depth == [-1] * g.n
+    assert shortest_odd_cycle(g) == (1, 5, 2, 8, 3, 11, 10, 6, 7)
+    assert oracles.reference_shortest_odd_cycle(g) == (1, 5, 2, 8, 3, 11, 10, 6, 7)
+
+
 @given(graphs(max_n=10))
 @settings(max_examples=60)
 def test_shortest_odd_cycle_minimal_and_chordless(g):
@@ -320,9 +337,9 @@ def searched(monkeypatch):
     sources = []
     search = graph._odd_layer
 
-    def counted(g, s, radius):
+    def counted(adj, s, radius, depth, low):
         sources.append(s)
-        return search(g, s, radius)
+        return search(adj, s, radius, depth, low)
 
     monkeypatch.setattr(graph, "_odd_layer", counted)
     return sources

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from packfour import odd_cycle
 from packfour.errors import StuckOddCycle
 from packfour.generators import inflate, k4, petersen, prism, problem1_family, random_cubic
 from packfour.formats import coloring_from_certificate, read_certificate
@@ -150,6 +154,52 @@ def test_reduce_diamond_chain_matches_reference_reducer(k):
     check_reduction(g, pair, state, additions)
     cg, s, coloring = coloring_from_certificate(read_certificate(color_claw_free_cubic(g)[1]))
     assert cg == g and verify_spacking(g, s, coloring) is None
+
+
+def test_reduce_diamond_chain_trace_pinned():
+    # the reducer trace of diamond_chain(333), 332 absorptions, pinned with
+    # the reducer that 2-colored and searched the whole remainder every round
+    g = oracles.diamond_chain(333)
+    pair, _ = break_triangles(g)
+    _, additions = reduce_odd_cycles(g, pair)
+    trace = json.dumps([a.to_record() for a in additions], separators=(",", ":"))
+    assert len(additions) == 332
+    assert hashlib.sha256(trace.encode()).hexdigest() == (
+        "03764a0764523d2209115ef29d3e348d324309196d6d8a5e4f751c640368422a")
+
+
+@pytest.mark.parametrize("k", [333, 3333])
+def test_reduce_diamond_chain_visits_linear(k, monkeypatch):
+    # the reducer is linear on the claw-free chain: the adjacency reads of
+    # its 2-colorings, searches and witness BFS, summed over the run, stay
+    # under 4n (n = 9,990 and 99,990; about 2.7n are read), and the run
+    # aborts as soon as they pass it; a round over the whole remainder would
+    # read about n each
+    g = oracles.diamond_chain(k)
+    pair, _ = break_triangles(g)
+    bound = 4 * g.n
+    reads = 0
+
+    class Counted:
+        def __init__(self, adj):
+            self.adj = adj
+
+        def __len__(self):
+            return len(self.adj)
+
+        def __getitem__(self, v):
+            nonlocal reads
+            reads += 1
+            if reads > bound:
+                raise AssertionError(f"reducer read more than {bound} adjacencies")
+            return self.adj[v]
+
+    for name in ("color_components", "odd_girth_record", "witness_cycle"):
+        monkeypatch.setattr(odd_cycle, name,
+                            lambda adj, *rest, f=getattr(odd_cycle, name): f(Counted(adj), *rest))
+    state, additions = reduce_odd_cycles(g, pair)
+    assert len(additions) == k - 1
+    assert 0 < reads <= bound
 
 
 def test_forced_petersen_sticks_like_reference_reducer():
