@@ -21,7 +21,8 @@ from __future__ import annotations
 import base64
 import json
 import re
-from itertools import chain
+from collections import deque
+from itertools import chain, repeat
 
 from .errors import (
     BadChar,
@@ -38,6 +39,7 @@ MAX_GRAPH6_N = 258047
 
 # certificate class names for the fixed spec (1,1,2,2), keyed by class index
 CLASS_NAMES = {1: "1a", 2: "1b", 3: "2a", 4: "2b"}
+_CLASS_INDEX = {name: idx for idx, name in CLASS_NAMES.items()}
 SPEC_1122 = SSpec((1, 1, 2, 2))
 
 _G6_CHARS = bytes(range(63, 127))
@@ -210,7 +212,13 @@ def _ints(values) -> bool:
 def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
     """Rebuild the graph, spec and coloring a certificate claims to certify.
 
-    Every field is type-checked first: a mistyped one is a ParseError.
+    Every field is type-checked first: a mistyped one is a ParseError.  The
+    edges go through build_graph, which takes a canonical list, the one
+    write_certificate emits, in one append pass.  The classes are filled at
+    C speed after a range check per class; n members in all and no vertex
+    left without a class prove each vertex listed once.  Anything else,
+    an unknown class name included, is walked again member by member, which
+    names the first problem.
     """
     if type(cert["n"]) is not int:
         raise ParseError(1, "certificate field 'n' is not an integer")
@@ -224,17 +232,29 @@ def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
         raise ParseError(1, "certificate field 'classes' is not an object of integer lists")
     g = build_graph(cert["n"], edges)
     s = SSpec(tuple(cert["s_spec"]))
-    name_to_index = {name: idx for idx, name in CLASS_NAMES.items()}
-    coloring: list[int | None] = [None] * g.n
+    n = g.n
+    coloring: list[int | None] = [None] * n
+    listed = 0
     for name, members in cert["classes"].items():
-        if name not in name_to_index:
+        idx = _CLASS_INDEX.get(name)
+        if idx is None or members and not (0 <= min(members) and max(members) < n):
+            break
+        deque(map(coloring.__setitem__, members, repeat(idx)), maxlen=0)
+        listed += len(members)
+    else:
+        if listed == n and None not in coloring:
+            return g, s, coloring  # type: ignore[return-value]
+    # member by member, raising at the first problem
+    coloring = [None] * n
+    for name, members in cert["classes"].items():
+        if name not in _CLASS_INDEX:
             raise ParseError(1, f"unknown class name {name!r}")
         for v in members:
-            if not 0 <= v < g.n:
-                raise ParseError(1, f"class {name} lists vertex {v} outside 0..{g.n - 1}")
+            if not 0 <= v < n:
+                raise ParseError(1, f"class {name} lists vertex {v} outside 0..{n - 1}")
             if coloring[v] is not None:
                 raise ParseError(1, f"vertex {v} appears in two classes")
-            coloring[v] = name_to_index[name]
+            coloring[v] = _CLASS_INDEX[name]
     for v, cls in enumerate(coloring):
         if cls is None:
             raise ParseError(1, f"vertex {v} has no class")

@@ -43,11 +43,34 @@ def build_graph(n: int, edges) -> Graph:
 
     Rejects self-loops, duplicate edges (in either orientation) and endpoints
     outside 0..n-1.
+
+    A canonical list, each pair (u, v) with u < v and the pairs strictly
+    increasing, as write_certificate and the generators emit, takes one
+    append pass: one comparison against the previous pair proves the pair in
+    range, no self-loop and no duplicate, and the adjacency lists come out
+    sorted, each vertex's smaller neighbours before its larger ones.  At the
+    first pair out of that order the rest of the list goes through the
+    checking loop, which names the first problem; every pair before it
+    passed all of that loop's checks.
     """
     if n < 0:
         raise VertexOutOfRange(n, n)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    edges = iter(edges)
+    # (0, 0) precedes every canonical pair and no pair with an end below 0
+    pu = pv = 0
     for u, v in edges:
+        if not (pu < u < v < n if u != pu else pv < v < n):
+            break
+        adj[u].append(v)
+        adj[v].append(u)
+        pu, pv = u, v
+    else:
+        return Graph(n=n, adj=tuple(map(tuple, adj)))
+    # (u, v) is out of order: it and the rest of the list go through the
+    # checking loop, onto the neighbour sets built so far
+    nbrs = [set(a) for a in adj]
+    for u, v in itertools.chain(((u, v),), edges):
         if not 0 <= u < n:
             raise VertexOutOfRange(u, n)
         if not 0 <= v < n:
@@ -327,21 +350,11 @@ def shortest_odd_cycle(g: Graph) -> OddCycle | None:
     odd cycle, since a shortest odd cycle is isometric: each of its vertices
     sees the cycle's opposite edge inside one layer.
 
-    two_coloring runs first; a bipartite graph returns None at once.  A
-    caller that holds the clash ends already passes them to
-    shortest_odd_cycle_colored, which does the rest; the odd-cycle reducer
-    runs its two parts, odd_girth_record and witness_cycle, per component.
-    """
-    return shortest_odd_cycle_colored(g, two_coloring(g)[1])
-
-
-def shortest_odd_cycle_colored(g: Graph, clash: list[int]) -> OddCycle | None:
-    """shortest_odd_cycle(g), given clash = two_coloring(g)[1].
-
-    None when clash is empty.  Every odd cycle holds a clash edge, one whose
-    ends share a color, so the smaller ends of the clash edges meet every odd
-    cycle, and only they are searched, in the ascending order clash lists
-    them (odd_girth_record).  Each search is a BFS cut off at the shallowest
+    two_coloring runs first; a bipartite graph, with no clash edge, returns
+    None at once.  Every odd cycle holds a clash edge, one whose ends share a
+    color, so the smaller ends of the clash edges meet every odd cycle, and
+    only they are searched, in the ascending order two_coloring lists them
+    (odd_girth_record).  Each search is a BFS cut off at the shallowest
     edge-holding layer found so far, ties included; the least such depth h
     gives the odd girth 2h + 1.  A vertex on a shortest path from a source
     to an end of an edge inside that source's layer h lies on a shortest odd
@@ -353,8 +366,11 @@ def shortest_odd_cycle_colored(g: Graph, clash: list[int]) -> OddCycle | None:
     that source; no search is walked back.  The smallest such vertex over
     the sources is the witness source, and witness_cycle's one BFS from it,
     stopped at depth h, gives the lexicographically first edge with both
-    ends at depth h, whose tree paths are spliced into the cycle.
+    ends at depth h, whose tree paths are spliced into the cycle.  The
+    odd-cycle reducer runs the two parts, odd_girth_record and
+    witness_cycle, per component.
     """
+    clash = two_coloring(g)[1]
     if not clash:
         return None
     h, first = odd_girth_record(g.adj, clash, [-1] * g.n, [0] * g.n)

@@ -3,8 +3,8 @@
 Everything here is deliberately naive (Floyd-Warshall, triple scans,
 exhaustive DFS cycle enumeration) so that agreement with the package is
 meaningful.  Keep these free of imports from the modules under test other
-than the Graph, PackingPair, Addition and ReductionState containers,
-build_graph and the error types.
+than the Graph, SSpec, PackingPair, Addition and ReductionState
+containers, build_graph and the error types.
 """
 from __future__ import annotations
 
@@ -15,9 +15,11 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from packfour.errors import StuckOddCycle
+from packfour.errors import (DuplicateEdge, PackfourError, ParseError, SelfLoop, StuckOddCycle,
+                             VertexOutOfRange)
 from packfour.graph import Graph, build_graph
 from packfour.odd_cycle import Addition, ReductionState
+from packfour.packing import SSpec
 from packfour.triangle_break import PackingPair
 
 INF = float("inf")
@@ -368,6 +370,72 @@ def g6_decode_reference(line: str) -> Graph:
                 edges.append((u, v))
             k += 1
     return build_graph(n, edges)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the PackfourError it raises as (type, vars(), message),
+    so two implementations compare on both at once."""
+    try:
+        return fn(*args)
+    except PackfourError as e:
+        return type(e), vars(e), str(e)
+
+
+def reference_build_graph(n: int, edges) -> Graph:
+    """build_graph as one checking loop over every edge, whatever its order:
+    range (u, then v), then self-loop, then duplicate in either orientation;
+    neighbour sets sorted at the end."""
+    if n < 0:
+        raise VertexOutOfRange(n, n)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not 0 <= u < n:
+            raise VertexOutOfRange(u, n)
+        if not 0 <= v < n:
+            raise VertexOutOfRange(v, n)
+        if u == v:
+            raise SelfLoop(u)
+        if v in nbrs[u]:
+            raise DuplicateEdge(u, v)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in nbrs))
+
+
+def reference_coloring_from_certificate(cert: dict):
+    """coloring_from_certificate as type checks, reference_build_graph and
+    one walk over the class members, raising at the first problem."""
+    if type(cert["n"]) is not int:
+        raise ParseError(1, "certificate field 'n' is not an integer")
+    edges = cert["edges"]
+    if not (type(edges) is list and all(type(e) is list and len(e) == 2 for e in edges)
+            and all(type(x) is int for e in edges for x in e)):
+        raise ParseError(1, "certificate field 'edges' is not a list of integer pairs")
+
+    def ints(values) -> bool:
+        return type(values) is list and all(type(x) is int for x in values)
+
+    if not ints(cert["s_spec"]):
+        raise ParseError(1, "certificate field 's_spec' is not a list of integers")
+    if type(cert["classes"]) is not dict or not all(map(ints, cert["classes"].values())):
+        raise ParseError(1, "certificate field 'classes' is not an object of integer lists")
+    g = reference_build_graph(cert["n"], edges)
+    s = SSpec(tuple(cert["s_spec"]))
+    name_to_index = {"1a": 1, "1b": 2, "2a": 3, "2b": 4}
+    coloring: list[int | None] = [None] * g.n
+    for name, members in cert["classes"].items():
+        if name not in name_to_index:
+            raise ParseError(1, f"unknown class name {name!r}")
+        for v in members:
+            if not 0 <= v < g.n:
+                raise ParseError(1, f"class {name} lists vertex {v} outside 0..{g.n - 1}")
+            if coloring[v] is not None:
+                raise ParseError(1, f"vertex {v} appears in two classes")
+            coloring[v] = name_to_index[name]
+    for v, cls in enumerate(coloring):
+        if cls is None:
+            raise ParseError(1, f"vertex {v} has no class")
+    return g, s, coloring
 
 
 def permute(g: Graph, perm: list[int]) -> Graph:

@@ -247,18 +247,24 @@ def test_verify_rejects_claimed_size_before_building(tmp_path, capsys, monkeypat
     inp, cert_path = color_to_file(tmp_path, capsys, prism())
     cert = json.loads((tmp_path / "cert.json").read_text())
     cert["n"] = 10 ** 9
-    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    huge_path = write(tmp_path, "huge.json", json.dumps(cert))
     build = formats.build_graph
+    built = []
 
     def bounded(n, edges):
         if n > 10 ** 6:
             raise AssertionError(f"building a graph on {n} vertices")
+        built.append(n)
         return build(n, edges)
 
     monkeypatch.setattr(formats, "build_graph", bounded)
-    code, _, err = run(capsys, "verify", inp, cert_path)
+    # the wrapper sits on the rebuild: the unedited certificate goes through it
+    assert run(capsys, "verify", inp, cert_path)[0] == 0
+    assert built == [6]
+    code, _, err = run(capsys, "verify", inp, huge_path)
     assert code == 1
     assert err == "certificate does not match the given graph\n"
+    assert built == [6]
 
 
 def test_verify_rejects_moved_edge(tmp_path, capsys):

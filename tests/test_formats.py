@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packfour.errors import (
     BadChar,
@@ -25,9 +27,11 @@ from packfour.formats import (
     write_dot,
     write_graph6,
 )
-from packfour.generators import cycle, k4, petersen, prism
+from packfour.generators import (cycle, inflate, k4, petersen, prism, problem1_family,
+                                 random_cubic)
 from packfour.graph import build_graph
 from packfour.packing import verify_spacking
+from packfour.pipeline import color_claw_free_cubic
 
 import oracles
 from oracles import graphs
@@ -291,6 +295,64 @@ def test_coloring_from_certificate_errors():
     oob["classes"]["2b"] = [17]
     with pytest.raises(ParseError):
         coloring_from_certificate(oob)
+
+
+@lru_cache(maxsize=1)
+def real_certificates() -> tuple[str, ...]:
+    """Certificates of acceptance-corpus graphs and of two clawed
+    problem1_family graphs colored with force, whose reducer absorbs."""
+    corpus = [k4(), prism(), inflate(petersen())]
+    corpus += [inflate(random_cubic(n, seed=1000 * n + s)) for n in (8, 14) for s in range(2)]
+    forced = [problem1_family(20, seed) for seed in (0, 1)]
+    return (tuple(color_claw_free_cubic(g)[1] for g in corpus)
+            + tuple(color_claw_free_cubic(g, force=True)[1] for g in forced))
+
+
+@st.composite
+def mutated_certificates(draw) -> dict:
+    """A real certificate with up to two changes: a member of -1 or n, a
+    vertex in two classes, a vertex dropped, a member replaced by another
+    vertex (one listed twice, one dropped, n members in all), an unknown
+    class name, an edge repeated or reversed, the edges shuffled, n off by
+    one."""
+    cert = json.loads(draw(st.sampled_from(real_certificates())))
+    classes, edges = cert["classes"], cert["edges"]
+    for kind in draw(st.lists(st.sampled_from(["range", "twice", "drop", "replace", "name",
+                                               "repeat", "reverse", "shuffle", "n"]),
+                              max_size=2)):
+        name = draw(st.sampled_from(sorted(classes)))
+        members = classes[name]
+        at = draw(st.integers(0, max(len(members) - 1, 0)))
+        e = draw(st.integers(0, len(edges) - 1))
+        if kind == "range" and members:
+            members[at] = draw(st.sampled_from([-1, cert["n"]]))
+        elif kind == "twice" and members:
+            other = draw(st.sampled_from(sorted(classes)))
+            classes[other].insert(draw(st.integers(0, len(classes[other]))), members[at])
+        elif kind == "drop" and members:
+            del members[at]
+        elif kind == "replace" and members:
+            members[at] = draw(st.integers(0, cert["n"] - 1))
+        elif kind == "name":
+            classes[draw(st.sampled_from(["9z", "1A", ""]))] = classes.pop(name)
+        elif kind == "repeat":
+            edges.insert(e + 1, list(edges[e]))
+        elif kind == "reverse":
+            edges[e] = edges[e][::-1]
+        elif kind == "shuffle":
+            cert["edges"] = edges = draw(st.permutations(edges))
+        elif kind == "n":
+            cert["n"] += draw(st.sampled_from([-1, 1]))
+    return cert
+
+
+@given(mutated_certificates())
+@settings(max_examples=300, deadline=None)
+def test_coloring_from_certificate_matches_reference(cert):
+    # the C-speed class fill and its re-walk give the reference's graph,
+    # spec and coloring, or its exception with the same message
+    want = oracles.outcome(oracles.reference_coloring_from_certificate, cert)
+    assert oracles.outcome(coloring_from_certificate, json.loads(json.dumps(cert))) == want
 
 
 def test_write_dot():

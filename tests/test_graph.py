@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -55,6 +56,52 @@ def test_build_graph_validates():
     with pytest.raises(VertexOutOfRange) as e:
         build_graph(-1, [])
     assert vars(e.value) == {"v": -1, "n": -1}
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): a canonical list, one with a single change (the previous
+    edge repeated, a pair reversed, a self-loop, an end of -1 or n, a first
+    edge (-1, 0)), a shuffled one, or arbitrary pairs; pairs are tuples or
+    lists, as certificates hold them."""
+    n = draw(st.integers(-1, 9))
+    edges = sorted(draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))))
+                   if n >= 2 else st.just(set())))
+    kind = draw(st.sampled_from(["canonical", "repeat", "reverse", "loop", "end",
+                                 "first", "shuffle", "arbitrary"]))
+    at = draw(st.integers(0, max(len(edges) - 1, 0)))
+    if kind == "repeat" and edges:
+        edges.insert(at + 1, edges[at])
+    elif kind == "reverse" and edges:
+        edges[at] = edges[at][::-1]
+    elif kind == "loop":
+        w = draw(st.integers(0, max(n - 1, 0)))
+        edges.insert(at, (w, w))
+    elif kind == "end" and edges:
+        end, side = draw(st.sampled_from([-1, n])), draw(st.integers(0, 1))
+        edges[at] = (end, edges[at][1]) if side == 0 else (edges[at][0], end)
+    elif kind == "first":
+        edges.insert(0, (-1, 0))
+    elif kind == "shuffle":
+        edges = draw(st.permutations(edges))
+    elif kind == "arbitrary":
+        ends = st.integers(-2, max(n, 0) + 1)
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    if draw(st.booleans()):
+        edges = [list(e) for e in edges]
+    return n, edges
+
+
+@given(edge_lists())
+@settings(max_examples=400)
+def test_build_graph_matches_checking_loop(case):
+    # the canonical route and its fall-back into the checking loop return
+    # the reference's graph or raise its exception, fields and message alike,
+    # from a list or a one-shot iterator
+    n, edges = case
+    want = oracles.outcome(oracles.reference_build_graph, n, edges)
+    assert oracles.outcome(build_graph, n, edges) == want
+    assert oracles.outcome(build_graph, n, iter(edges)) == want
 
 
 def test_graph_basics():
