@@ -33,9 +33,13 @@ graph.two_coloring gives on the remainder.
 
 A vertex may join a side when its radius-2 ball, graph.ball2, misses that
 side.  The loop works on one live map from side to vertex set and one live
-adjacency on g's own vertex ids, built once with every chosen vertex
-isolated.  Each absorption rewrites only the absorbed vertex's entry and its
-neighbours' entries, so the remainder is never relabelled or rebuilt.
+adjacency on g's own vertex ids, with every chosen vertex isolated.  It
+starts as g's own tuples, edited locally: each chosen vertex's entry is
+emptied, and each of its unchosen neighbours' tuples loses every chosen
+vertex, not only that one, since an unchosen vertex can have a chosen
+neighbour on each side.  Each absorption rewrites only the absorbed
+vertex's entry and its neighbours' entries, so the remainder is never
+relabelled or rebuilt.
 Isolated vertices hold no odd cycle and every order the search uses is an
 order of vertex ids, so the witness is the one the remainder relabelled onto
 0..k-1 would give, mapped back.  Every absorption deletes a vertex from the
@@ -56,8 +60,8 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import StuckOddCycle
-from .graph import (Graph, ball2, color_components, find_claw, induced_subgraph,
-                    odd_girth_record, witness_cycle)
+from .graph import (Graph, ball2, color_components, find_claw, odd_girth_record,
+                    witness_cycle)
 from .triangle_break import PackingPair
 
 
@@ -99,7 +103,13 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
     """Absorb one vertex per shortest odd cycle until the remainder is bipartite;
     the returned state carries that remainder's two_coloring colors."""
     ext = {"A": set(pair.a), "B": set(pair.b)}
-    live = list(induced_subgraph(g, set(range(g.n)) - pair.marked).adj)
+    marked = pair.marked
+    live = list(g.adj)
+    for v in marked:
+        live[v] = ()
+        for u in g.adj[v]:
+            if u not in marked:  # a chosen neighbour's entry is emptied in turn
+                live[u] = tuple([x for x in g.adj[u] if x not in marked])
     additions: list[Addition] = []
     color = [-1] * g.n
     depth = [-1] * g.n

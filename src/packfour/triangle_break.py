@@ -15,9 +15,13 @@ the first surviving triangle and it strictly increases the integer weight,
 which never exceeds 2n, so a run takes at most 2n steps.
 
 Set-up is eager and reads the cubic input's adjacency tuples directly: the
-triangles, an index from each vertex to the triangles through it (weights,
-triangle mates and the K4 placement read it), and each vertex's radius-2
-ball, its own adjacency tuple and its three neighbours' joined.  The pair is
+triangles, an index from each vertex to the triangles through it (weights
+and the K4 placement read it), each triangle vertex's triangle mates, and
+the radius-2 ball of each vertex within distance 1 of a triangle, its own
+adjacency tuple and its three neighbours' joined.  Additions lie on
+triangles and the candidate set reads the balls of triangle neighbours, so
+no other entry is read, and the others are None.  In a claw-free cubic graph
+every vertex lies on a triangle and the tables are full.  The pair is
 mutable search state, updated in place from the triangles of the moved
 vertices only: the sides, the chosen count on each triangle, the weight and
 the survivor count.  The first surviving triangle comes off a min-heap of
@@ -40,8 +44,12 @@ it, and a removal both items force counts once.  Any removal set holding the
 forced removals, at most one per side, then satisfies (1)-(3), so a combo
 whose additions outweigh its forced removals has a move (the forced removals
 alone), and one that does not has none.  Only a combo with a move reaches
-the removal-set generator, once per step, and it builds and sorts removal
-sets only when an extra removal is affordable.
+the removal-set generator, once per step.  Every chosen vertex weighs at
+least LIGHT, so an extra removal is affordable only when the additions
+outweigh the forced removals by more than LIGHT.  Every other combo gets the
+forced removals alone as its one move, and only the rest build and sort
+removal sets.  The first move a step finds has that much to spare only with
+a HEAVY addition.
 
 A K4 component cannot satisfy (3) with two chosen vertices (any two of its
 vertices share a triangle), so its two smallest vertices are placed up front,
@@ -120,17 +128,27 @@ class _Search:
         self.g = g
         self.triangles: list[Triangle] = list_triangles(g)
         self.tri_by_vertex: list[list[int]] = [[] for _ in range(g.n)]
-        # the vertices of the triangles through each vertex, itself included
-        self.mates: list[set[int]] = [set() for _ in range(g.n)]
+        # the vertices of the triangles through each triangle vertex, itself
+        # included; None off the triangles, where no addition lies
+        mates: list[set[int] | None] = [None] * g.n
         for i, t in enumerate(self.triangles):
             for v in t:
                 self.tri_by_vertex[v].append(i)
-                self.mates[v].update(t)
-        self.wvec = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
+                m = mates[v]
+                if m is None:
+                    mates[v] = set(t)
+                else:
+                    m.update(t)
+        self.mates = mates
+        self.wvec = w = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
         # graph.ball2 for a cubic graph, one comprehension with no call per
-        # vertex; v is among its neighbours' neighbours
+        # vertex (v is among its neighbours' neighbours), built only within
+        # distance 1 of a triangle, the vertices near, _forced and the
+        # additions read; None elsewhere
         adj = g.adj
-        self.ball2 = [set(a + adj[a[0]] + adj[a[1]] + adj[a[2]]) for a in adj]
+        self.ball2: list[set[int] | None] = [
+            set(a + adj[a[0]] + adj[a[1]] + adj[a[2]])
+            if x or w[a[0]] or w[a[1]] or w[a[2]] else None for x, a in zip(w, adj)]
         self.sides = (set(a), set(b))
         marked = self.sides[SIDE_A] | self.sides[SIDE_B]
         self.weight = sum(map(self.wvec.__getitem__, marked))
@@ -198,7 +216,8 @@ class _Search:
         can make up pairs with nothing.  A pair whose forced removals are two
         distinct vertices on one side is rejected, and a removal both items
         force is removed, and weighed, once.  A combo reaches _exchanges only
-        when its additions outweigh its forced removals, so every call yields.
+        when its additions outweigh its forced removals, so every call
+        returns a move.
         The generator reads the live state, so it must not be resumed after a
         move is played.
         """
@@ -266,32 +285,39 @@ class _Search:
         weight = (0 if own is None else w[own]) + (0 if other is None else w[other])
         return (own, other, weight) if side == SIDE_A else (other, own, weight)
 
-    def _exchanges(self, combo, ra, rb, slack) -> Iterator[Move]:
+    def _exchanges(self, combo, ra, rb, slack) -> list[Move]:
         """The moves adding combo, in removal order, given its forced
         removals ra and rb (None on a side with none) and slack > 0, the
         additions' weight less theirs.  Every removal set that holds the
         forced removals, at most one vertex per side, each within distance 2
         of an addition, satisfies (1)-(3), so only weight decides: the sets
         are the forced removals plus an extra chosen vertex on any side they
-        leave free, while the additions outweigh the removals.  The forced
-        removals alone are such a set, the only one unless an extra is
-        affordable, and only then are sets built and sorted."""
-        w = self.wvec
+        leave free, while the additions outweigh the removals.  A chosen
+        vertex lies on a triangle (condition (2)), so it weighs at least
+        LIGHT: with slack <= LIGHT no extra is affordable and the forced
+        removals alone are the one move, returned with no set built."""
         add_a = tuple([v for v, side in combo if side == SIDE_A])
         add_b = tuple([v for v, side in combo if side == SIDE_B])
+        if slack <= LIGHT:
+            return [Move(add_a, add_b, ra, rb)]
+        return [Move(add_a, add_b, *rem) for rem in self._removal_sets(combo, ra, rb, slack)]
+
+    def _removal_sets(self, combo, ra, rb, slack) -> list[tuple[int | None, int | None]]:
+        """The removal sets of _exchanges as (removal from a, removal from
+        b), in removal order, for a combo whose slack exceeds LIGHT."""
+        w = self.wvec
         near = set().union(*[self.ball2[v] for v, _ in combo])
         extras = [(r, side) for side, forced in ((SIDE_A, ra), (SIDE_B, rb)) if forced is None
                   for r in self.sides[side] & near if w[r] < slack]
-        if not extras:
-            yield Move(add_a, add_b, ra, rb)
-            return
         must = [(r, side) for r, side in ((ra, SIDE_A), (rb, SIDE_B)) if r is not None]
         sets = [must] + [must + [x] for x in extras] + [
             must + [x, y] for x, y in combinations(extras, 2)
             if x[1] != y[1] and w[x[0]] + w[y[0]] < slack]
+        out = []
         for removal in sorted(sorted(rs) for rs in sets):
             rem = {side: r for r, side in removal}
-            yield Move(add_a, add_b, rem.get(SIDE_A), rem.get(SIDE_B))
+            out.append((rem.get(SIDE_A), rem.get(SIDE_B)))
+        return out
 
 
 def enumerate_improving_moves(g: Graph, pair: PackingPair, t: Triangle) -> Iterator[Move]:

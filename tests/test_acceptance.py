@@ -231,17 +231,34 @@ def test_criterion_8_problem2_experiment(corpus, tmp_path, capsys):
 def test_ball_table_matches_vertices_within(corpus):
     # the breaker's radius-2 balls, read straight off the adjacency, against
     # the one general bounded-ball query and against graph.ball2, which the
-    # reducer reads, on every corpus graph and on seeded random cubic graphs
-    # and their inflations, K4 components among them
-    cases = list(corpus)
+    # reducer reads, on every corpus graph and on seeded random cubic graphs,
+    # their inflations and problem1 gadget graphs, K4 components among them.
+    # A ball is built exactly at the vertices within distance 1 of a
+    # triangle and a mate set exactly on the triangles.  Every vertex of a
+    # claw-free cubic graph lies on a triangle, so the corpus tables are
+    # full; the gadget graphs have vertices at distance 2 or more from every
+    # triangle, so theirs are partial.
+    cases = [(g, "full") for g in corpus]
     for n in (4, 8, 16, 30):
         for seed in range(3):
             g = random_cubic(n, seed=seed)
-            cases += [g, inflate(g), oracles.disjoint_union(k4(), g, k4())]
-    for g in cases:
-        balls = _Search(g).ball2
-        assert balls == [vertices_within(g, [v], 2) for v in range(g.n)]
-        assert balls == [ball2(g.adj, v) for v in range(g.n)]
+            cases += [(g, None), (inflate(g), None), (oracles.disjoint_union(k4(), g, k4()), None)]
+    cases += [(problem1_family(20, 0), "partial"), (problem1_family(20, 1), "partial")]
+    for g, table in cases:
+        search = _Search(g)
+        triangles = list_triangles(g)
+        on_triangle = {v for t in triangles for v in t}
+        near = vertices_within(g, on_triangle, 1)
+        assert [v for v, ball in enumerate(search.ball2) if ball is not None] == sorted(near)
+        for v in near:
+            assert search.ball2[v] == vertices_within(g, [v], 2) == ball2(g.adj, v)
+        assert [v for v, m in enumerate(search.mates) if m is not None] == sorted(on_triangle)
+        for v in on_triangle:
+            assert search.mates[v] == {x for t in triangles if v in t for x in t}
+        if table == "full":
+            assert len(near) == g.n
+        elif table == "partial":
+            assert 0 < len(near) < g.n
 
 
 def bridged_odd_pieces():

@@ -142,6 +142,22 @@ def test_reduce_matches_reference_reducer():
     assert "stuck" in outcomes and max(o for o in outcomes if o != "stuck") > 20
 
 
+def test_reduce_remainder_drops_chosen_vertices_of_both_sides():
+    # the live remainder empties each chosen vertex's entry and filters every
+    # chosen vertex out of its unchosen neighbours' tuples; on these pairs an
+    # a-vertex is adjacent to a b-vertex, and some unchosen vertex has chosen
+    # neighbours on both sides, so a filter that drops only the chosen
+    # vertex in hand leaves a chosen vertex in the remainder
+    for g in (problem1_family(20, 0), problem1_family(20, 1), inflate(k4())):
+        pair, _ = break_triangles(g)
+        a, b = pair.a, pair.b
+        assert any({u, v} & a and {u, v} & b for u, v in g.edges())
+        assert any(u not in pair.marked and a.intersection(g.adj[u]) and b.intersection(g.adj[u])
+                   for u in range(g.n))
+        got = reduction_outcome(reduce_odd_cycles, g, pair)
+        assert got == reduction_outcome(oracles.reference_reduce_odd_cycles, g, pair)
+
+
 @pytest.mark.parametrize("k", [3, 10, 30])
 def test_reduce_diamond_chain_matches_reference_reducer(k):
     # the first claw-free family whose reducer absorbs, once per 2-switch

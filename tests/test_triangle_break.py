@@ -458,9 +458,13 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
     # every step searches, and only a combo with a move reaches it), and the
     # pair is built whole only at the end.  Every step settles at least its
     # move's first item, so a settlement that bypasses _forced cannot pass.
+    # On these graphs every combo handed on outweighs its forced removals by
+    # exactly LIGHT, so none can afford an extra removal, and none builds
+    # removal sets.
     g = oracles.diamond_strings(base_n, 1, 0.3, 7)
     forced, exchanges = _Search._forced, _Search._exchanges
-    counts = {"settled": 0, "combos": 0, "pairs": 0}
+    removal_sets = _Search._removal_sets
+    counts = {"settled": 0, "combos": 0, "removal_sets": 0, "pairs": 0}
 
     def counted_forced(self, *args):
         counts["settled"] += 1
@@ -470,6 +474,10 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
         counts["combos"] += 1
         return exchanges(self, *args)
 
+    def counted_removal_sets(self, *args):
+        counts["removal_sets"] += 1
+        return removal_sets(self, *args)
+
     class CountedPair(PackingPair):
         def __init__(self, *args, **kwargs):
             counts["pairs"] += 1
@@ -477,12 +485,14 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
 
     monkeypatch.setattr(_Search, "_forced", counted_forced)
     monkeypatch.setattr(_Search, "_exchanges", counted_exchanges)
+    monkeypatch.setattr(_Search, "_removal_sets", counted_removal_sets)
     monkeypatch.setattr(triangle_break, "PackingPair", CountedPair)
     pair, trace = break_triangles(g)
     n, steps, digest = DIAMOND_STRING_TRACES[base_n]
     assert (g.n, len(trace), pair.surviving) == (n, steps, 0)
     assert steps <= counts["settled"] <= 12 * steps
     assert counts["combos"] == steps
+    assert counts["removal_sets"] == 0
     assert counts["pairs"] == 1
     records = json.dumps([am.to_record() for am in trace], sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == digest
