@@ -6,7 +6,9 @@ inflate sniff the format from the first line (--format pins it for color and
 verify); oracle and experiment problem2 read graph6 only.  All runs are
 deterministic for fixed inputs, flags and seeds; batch output order always
 matches input order, --jobs or not.  color writes each record as soon as it
-and every earlier one are done.
+and every earlier one are done; with --jobs, a worker task colors a chunk of
+max(1, min(16, graphs // (4 * workers))) graphs, and a chunk's records are
+written once it and every earlier chunk are done.
 
 Exit codes for color: 0 all graphs colored, 2 parse error, 3 hypothesis
 violation (non-cubic or clawed without --force), 4 stuck.  verify: 0 valid,
@@ -121,7 +123,7 @@ def cmd_color(args) -> int:
     exit_code = 0
     with _output(args.out) as out, closing(results):
         for i, (status, payload) in enumerate(results):
-            # each record goes out as soon as its graph is done
+            # each record goes out as soon as it arrives, in input order
             if status == "ok":
                 print(payload, file=out, flush=True)
                 if args.dot:

@@ -11,7 +11,7 @@ import random
 import re
 
 from .errors import BadParameter, RetryLimit, UnknownName
-from .graph import INF, Graph, bfs_distances, build_graph, is_cubic, list_triangles, require_cubic
+from .graph import Graph, bfs_distances, build_graph, is_cubic, list_triangles, require_cubic
 
 
 def k4() -> Graph:
@@ -129,7 +129,7 @@ def random_cubic(n: int, seed: int, connected: bool = False,
         if not ok:
             continue
         g = build_graph(n, sorted(edges))
-        if connected and INF in bfs_distances(g, 0):
+        if connected and len(bfs_distances(g, [0])) < n:
             continue
         return g
     raise RetryLimit(n, max_retries)

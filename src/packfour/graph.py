@@ -1,16 +1,14 @@
 """Immutable simple undirected graphs and the primitives everything else uses.
 
 Vertices are 0..n-1.  Adjacency lists are strictly increasing tuples, so every
-iteration order downstream is deterministic.  Distances are hop counts with
-math.inf for unreachable pairs; the infinity sentinel makes empty-set distance
-queries behave correctly (min over nothing is infinite).
+iteration order downstream is deterministic.  Distances are hop counts, and
+INF (math.inf) stands for an unbounded search radius and an unreachable pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import DuplicateEdge, NotCubic, SelfLoop, VertexOutOfRange
@@ -18,7 +16,6 @@ from .errors import DuplicateEdge, NotCubic, SelfLoop, VertexOutOfRange
 INF = math.inf
 
 Triangle = tuple[int, int, int]
-OddCycle = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -84,36 +81,23 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in nbrs))
 
 
-def bfs_distances(g: Graph, src: int) -> list[float]:
-    """Hop distances from src; INF where unreachable."""
-    dist: list[float] = [INF] * g.n
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in g.adj[u]:
-            if dist[v] is INF:
-                dist[v] = dist[u] + 1
-                q.append(v)
+def bfs_distances(g: Graph, sources, radius: float = INF) -> dict[int, int]:
+    """Hop distance from the nearest source to every vertex at most radius
+    away, the sources included at 0.  Vertices beyond radius, or unreachable,
+    have no entry, so a bounded search costs what it visits."""
+    dist = dict.fromkeys(sources, 0)
+    layer = list(dist)
+    d = 0
+    while layer and d < radius:
+        d += 1
+        nxt = []
+        for u in layer:
+            for v in g.adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    nxt.append(v)
+        layer = nxt
     return dist
-
-
-def vertices_within(g: Graph, sources, radius: int) -> set[int]:
-    """All vertices at hop distance <= radius from some source (sources included)."""
-    dist: dict[int, int] = {}
-    q = deque()
-    for s in sorted(set(sources)):
-        dist[s] = 0
-        q.append(s)
-    while q:
-        u = q.popleft()
-        if dist[u] == radius:
-            continue
-        for v in g.adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return set(dist)
 
 
 def ball2(adj, v: int) -> set[int]:
@@ -159,219 +143,3 @@ def find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
             if b not in adj[a] and d not in adj[a] and d not in adj[b]:
                 return (c, (a, b, d))
     return None
-
-
-def induced_subgraph(g: Graph, keep) -> Graph:
-    """Subgraph induced by `keep`, on g's own vertex ids.
-
-    Vertices outside keep stay, isolated.  g's adjacency tuples are sorted,
-    so filtering them keeps them sorted and simple: no revalidation through
-    build_graph.
-    """
-    inside = [False] * g.n
-    for v in keep:
-        if not 0 <= v < g.n:
-            raise VertexOutOfRange(v, g.n)
-        inside[v] = True
-    adj = tuple(tuple([w for w in a if inside[w]]) if inside[v] else ()
-                for v, a in enumerate(g.adj))
-    return Graph(n=g.n, adj=adj)
-
-
-def _canonical_cycle(seq: list[int]) -> OddCycle:
-    # rotate so the smallest vertex leads; pick the direction with the
-    # smaller successor so each cycle has exactly one printed form
-    k = seq.index(min(seq))
-    rot = seq[k:] + seq[:k]
-    if len(rot) > 2 and rot[-1] < rot[1]:
-        rot = [rot[0]] + rot[1:][::-1]
-    return tuple(rot)
-
-
-def color_components(adj, roots, color: list[int]) -> list[tuple[list[int], list[int]]]:
-    """BFS 2-coloring of every uncolored component, written into color (-1 is
-    uncolored), each rooted at the first of roots it holds.
-
-    A root gets color 0 and every other vertex the opposite color of its BFS
-    parent.  Returns, for each non-bipartite component in root order, its
-    vertices in BFS order and the smaller ends of its edges whose ends share
-    a color, unordered, one per edge.  Every odd cycle holds such an edge and
-    such an edge closes an odd cycle with the BFS tree.
-    """
-    odd = []
-    for root in roots:
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        comp = [root]
-        clash = []
-        for u in comp:  # grows while iterated: a BFS queue
-            cu = color[u]
-            for v in adj[u]:
-                cv = color[v]
-                if cv == -1:
-                    color[v] = 1 - cu
-                    comp.append(v)
-                elif cv == cu and u < v:
-                    clash.append(u)
-        if clash:
-            odd.append((comp, clash))
-    return odd
-
-
-def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
-    """BFS 2-coloring of every component, roots ascending; returns (color, clash).
-
-    Each root, the smallest vertex of its component, gets color 0 and every
-    other vertex the opposite color of its BFS parent (color_components).
-    clash lists, ascending and once each, the smaller ends of the edges whose
-    ends share a color, so clash is empty exactly when g is bipartite, and
-    then color is a proper 2-coloring.
-    """
-    color = [-1] * g.n
-    odd = color_components(g.adj, range(g.n), color)
-    return color, sorted({u for _, clash in odd for u in clash})
-
-
-def _path_to_root(v: int, parent: dict[int, int]) -> list[int]:
-    path = [v]
-    while parent[path[-1]] != path[-1]:
-        path.append(parent[path[-1]])
-    path.reverse()  # root first
-    return path
-
-
-def _odd_cycle_from_conflict(u: int, v: int, parent: dict[int, int]) -> OddCycle:
-    # BFS-tree paths from the root share a prefix and diverge permanently, so
-    # splicing them at the last common vertex yields a simple cycle; u and v
-    # share a BFS layer, so it is odd.
-    pu = _path_to_root(u, parent)
-    pv = _path_to_root(v, parent)
-    i = 0
-    while i < min(len(pu), len(pv)) and pu[i] == pv[i]:
-        i += 1
-    cycle = pu[i - 1:] + pv[:i - 1:-1]
-    return _canonical_cycle(cycle)
-
-
-def _odd_layer(adj, s: int, radius: int, depth: list[int],
-               low: list[int]) -> tuple[int, int] | None:
-    # BFS from s, layer by layer, out to depth radius.  depth[y] is y's depth
-    # and low[y] the least vertex on a shortest path from s to y: the least of
-    # y and the low of every neighbour one layer up, not only the one that
-    # found y.  After the first layer d that holds an edge, returns (d, the
-    # least low over the ends of the edges inside it); None if no layer up to
-    # radius holds one.  depth is all -1 on entry and is reset on return
-    # entry by entry, so a search costs what it visits.
-    depth[s] = 0
-    low[s] = s
-    seen = [s]
-    layer = [s]
-    d = 0
-    found = None
-    n = len(adj)  # no vertex: least holds n while no edge lies inside the layer
-    while layer:
-        least = n
-        nxt = []
-        for x in layer:
-            lx = low[x]
-            for y in adj[x]:
-                dy = depth[y]
-                if dy < 0:
-                    depth[y] = d + 1
-                    low[y] = lx if lx < y else y
-                    nxt.append(y)
-                elif dy >= d:  # nested so that a parent, dy == d - 1, costs two tests
-                    if dy > d:
-                        if lx < low[y]:
-                            low[y] = lx
-                    elif lx < least:
-                        least = lx
-        seen += nxt
-        if least < n:
-            found = (d, least)
-            break
-        if d == radius:
-            break
-        layer = nxt
-        d += 1
-    for x in seen:
-        depth[x] = -1
-    return found
-
-
-def odd_girth_record(adj, sources, depth: list[int], low: list[int]) -> tuple[int, int]:
-    """(h, least) for a part of a graph whose odd cycles all meet sources:
-    its odd girth is 2h + 1 and least is the smallest vertex on its shortest
-    odd cycles.
-
-    Searches each source in the given order, each BFS cut off at the
-    shallowest edge-holding layer found so far, ties included.  depth and
-    low are scratch lists over the vertex ids, depth all -1; the searches
-    leave it so, and a caller running many records keeps the two lists.
-    sources must meet an odd cycle.
-    """
-    record = (len(adj), len(adj))
-    for s in sources:
-        found = _odd_layer(adj, s, record[0], depth, low)
-        if found is not None and found < record:
-            record = found
-    return record
-
-
-def witness_cycle(adj, first: int, h: int) -> OddCycle:
-    """The odd cycle of length 2h + 1 through first that one BFS from first,
-    stopped at depth h, gives: the lexicographically first edge with both
-    ends at depth h, its two tree paths spliced.  first must lie on a
-    shortest odd cycle of length 2h + 1."""
-    parent = {first: first}
-    layer = [first]
-    for _ in range(h):
-        nxt = []
-        for x in layer:
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    nxt.append(y)
-        layer = nxt
-    inside = set(layer)
-    u, v = min((u, v) for u in layer for v in adj[u] if v > u and v in inside)
-    return _odd_cycle_from_conflict(u, v, parent)
-
-
-def shortest_odd_cycle(g: Graph) -> OddCycle | None:
-    """A minimum-length odd cycle, or None if the graph is bipartite.
-
-    An edge joining two vertices in BFS layer d of a source closes an odd
-    walk of length 2d + 1, and the minimum over all sources and such edges is
-    attained by a simple chordless cycle.  The witness is the first minimum
-    in scan order: smallest source, then the lexicographically first edge in
-    one of its layers.  That source is the smallest vertex on any shortest
-    odd cycle, since a shortest odd cycle is isometric: each of its vertices
-    sees the cycle's opposite edge inside one layer.
-
-    two_coloring runs first; a bipartite graph, with no clash edge, returns
-    None at once.  Every odd cycle holds a clash edge, one whose ends share a
-    color, so the smaller ends of the clash edges meet every odd cycle, and
-    only they are searched, in the ascending order two_coloring lists them
-    (odd_girth_record).  Each search is a BFS cut off at the shallowest
-    edge-holding layer found so far, ties included; the least such depth h
-    gives the odd girth 2h + 1.  A vertex on a shortest path from a source
-    to an end of an edge inside that source's layer h lies on a shortest odd
-    cycle, and every shortest odd cycle passes through a searched source.
-    So each search carries, for every vertex it reaches, the least vertex on
-    any shortest path to it from the source, folded over all its neighbours
-    one layer up, and the least of those values over the ends of the edges
-    inside layer h is the smallest vertex on the shortest odd cycles through
-    that source; no search is walked back.  The smallest such vertex over
-    the sources is the witness source, and witness_cycle's one BFS from it,
-    stopped at depth h, gives the lexicographically first edge with both
-    ends at depth h, whose tree paths are spliced into the cycle.  The
-    odd-cycle reducer runs the two parts, odd_girth_record and
-    witness_cycle, per component.
-    """
-    clash = two_coloring(g)[1]
-    if not clash:
-        return None
-    h, first = odd_girth_record(g.adj, clash, [-1] * g.n, [0] * g.n)
-    return witness_cycle(g.adj, first, h)

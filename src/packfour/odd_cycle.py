@@ -3,36 +3,55 @@
 Starting from the triangle-breaker's pair, repeatedly find a shortest odd
 cycle in the remainder (the subgraph induced by unchosen vertices), scan its
 vertices in witness order, and absorb the first one that can join a side
-without breaking that side's 2-packing — side a is tried before side b.
-Distances are always measured in the original graph, not the remainder.
+without breaking that side's 2-packing — side a is tried before side b.  A
+vertex may join a side when its radius-2 ball, graph.ball2, misses that
+side, so distances are always measured in the original graph, not the
+remainder.
+
+The witness is the one a scan over every source would give.  An edge
+joining two vertices in BFS layer d of a source closes an odd walk of length
+2d + 1, and the minimum over all sources and such edges is attained by a
+simple chordless cycle.  The witness is the first minimum in scan order:
+smallest source, then the lexicographically first edge in one of its
+layers.  That source is the smallest vertex on any shortest odd cycle, since
+a shortest odd cycle is isometric: each of its vertices sees the cycle's
+opposite edge inside one layer.  Three searches find it without the scan:
+
+- color_components 2-colors the remainder by BFS.  Every odd cycle holds a
+  clash edge, one whose ends share a color, so the smaller ends of the clash
+  edges meet every odd cycle, and only they are searched.
+- odd_girth_record runs a BFS from each, cut off at the shallowest
+  edge-holding layer found so far, ties included; the least such depth h
+  gives the odd girth 2h + 1.  A vertex on a shortest path from a source to
+  an end of an edge inside that source's layer h lies on a shortest odd
+  cycle, and every shortest odd cycle passes through a searched source.  So
+  each search carries, for every vertex it reaches, the least vertex on any
+  shortest path to it from the source, folded over all its neighbours one
+  layer up, and the least of those values over the ends of the edges inside
+  layer h is the smallest vertex on the shortest odd cycles through that
+  source; no search is walked back.  The least over the sources is the
+  witness source.
+- witness_cycle's one BFS from the witness source, stopped at depth h,
+  gives the lexicographically first edge with both ends at depth h, whose
+  tree paths are spliced into the cycle.
+
+None of this needs the remainder to be claw-free or of maximum degree 2.
 
 The loop keeps one record per non-bipartite component of the remainder,
 (h, least): the component's odd girth is 2h + 1 and least is the smallest
 vertex on its shortest odd cycles.  The records sit in a heap, and the
-global witness source, the smallest vertex on any shortest odd cycle of the
-remainder, is the least vertex of the least record, so a round pops that
-record.  A component's record comes from its own 2-coloring,
-graph.color_components from its smallest vertex: a BFS runs from the smaller
-end of each clash edge (an edge whose ends share a color), since every odd
-cycle holds one, cut off at the shallowest edge-holding layer found so far.
-Each search carries, for every vertex it reaches, the least vertex on any
-shortest path to it from the source, so the least vertex on the source's
-shortest odd cycles is read off the edges inside its last layer, with no
-walk back (graph.odd_girth_record).  One more BFS from the popped least
-vertex, stopped at that layer, gives the witness (graph.witness_cycle), so
-the remainder need not be claw-free or of maximum degree 2.
+witness source of the whole remainder is the least vertex of the least
+record, so a round pops that record.  An absorption changes only the
+absorbed vertex's component: its vertices are 2-colored again, in ascending
+order, so each piece it falls into is rooted at its smallest vertex, and
+each non-bipartite piece gets a new record.  The rest of the remainder is
+never touched again, so a run costs what its absorptions' components hold;
+one reducer run allocates the searches' depth and least-vertex lists once.
+When the heap is empty every component is bipartite, and the colors written
+so far are the remainder's BFS 2-coloring, each component rooted at its
+smallest vertex.
 
-An absorption changes only the absorbed vertex's component: its vertices
-are 2-colored again, in ascending order, so each piece it falls into is
-rooted at its smallest vertex, and each non-bipartite piece gets a new
-record.  The rest of the remainder is never touched again, so a run costs
-what its absorptions' components hold; one reducer run allocates the
-searches' depth and least-vertex lists once.  When the heap is empty every
-component is bipartite, and the colors written so far are those
-graph.two_coloring gives on the remainder.
-
-A vertex may join a side when its radius-2 ball, graph.ball2, misses that
-side.  The loop works on one live map from side to vertex set and one live
+The loop works on one live map from side to vertex set and one live
 adjacency on g's own vertex ids, with every chosen vertex isolated.  It
 starts as g's own tuples, edited locally: each chosen vertex's entry is
 emptied, and each of its unchosen neighbours' tuples loses every chosen
@@ -60,9 +79,10 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import StuckOddCycle
-from .graph import (Graph, ball2, color_components, find_claw, odd_girth_record,
-                    witness_cycle)
+from .graph import Graph, ball2, find_claw
 from .triangle_break import PackingPair
+
+OddCycle = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -87,6 +107,152 @@ class ReductionState:
     color: tuple[int, ...] | None
 
 
+def color_components(adj, roots, color: list[int]) -> list[tuple[list[int], list[int]]]:
+    """BFS 2-coloring of every uncolored component, written into color (-1 is
+    uncolored), each rooted at the first of roots it holds.
+
+    A root gets color 0 and every other vertex the opposite color of its BFS
+    parent.  Returns, for each non-bipartite component in root order, its
+    vertices in BFS order and the smaller ends of its edges whose ends share
+    a color, unordered, one per edge.
+    """
+    odd = []
+    for root in roots:
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        comp = [root]
+        clash = []
+        for u in comp:  # grows while iterated: a BFS queue
+            cu = color[u]
+            for v in adj[u]:
+                cv = color[v]
+                if cv == -1:
+                    color[v] = 1 - cu
+                    comp.append(v)
+                elif cv == cu and u < v:
+                    clash.append(u)
+        if clash:
+            odd.append((comp, clash))
+    return odd
+
+
+def _odd_layer(adj, s: int, radius: int, depth: list[int],
+               low: list[int]) -> tuple[int, int] | None:
+    # BFS from s, layer by layer, out to depth radius.  depth[y] is y's depth
+    # and low[y] the least vertex on a shortest path from s to y: the least of
+    # y and the low of every neighbour one layer up, not only the one that
+    # found y.  After the first layer d that holds an edge, returns (d, the
+    # least low over the ends of the edges inside it); None if no layer up to
+    # radius holds one.  depth is all -1 on entry and is reset on return
+    # entry by entry, so a search costs what it visits.
+    depth[s] = 0
+    low[s] = s
+    seen = [s]
+    layer = [s]
+    d = 0
+    found = None
+    n = len(adj)  # no vertex: least holds n while no edge lies inside the layer
+    while layer:
+        least = n
+        nxt = []
+        for x in layer:
+            lx = low[x]
+            for y in adj[x]:
+                dy = depth[y]
+                if dy < 0:
+                    depth[y] = d + 1
+                    low[y] = lx if lx < y else y
+                    nxt.append(y)
+                elif dy >= d:  # nested so that a parent, dy == d - 1, costs two tests
+                    if dy > d:
+                        if lx < low[y]:
+                            low[y] = lx
+                    elif lx < least:
+                        least = lx
+        seen += nxt
+        if least < n:
+            found = (d, least)
+            break
+        if d == radius:
+            break
+        layer = nxt
+        d += 1
+    for x in seen:
+        depth[x] = -1
+    return found
+
+
+def odd_girth_record(adj, sources, depth: list[int], low: list[int]) -> tuple[int, int]:
+    """(h, least) for a part of a graph whose odd cycles all meet sources:
+    its odd girth is 2h + 1 and least is the smallest vertex on its shortest
+    odd cycles.
+
+    Searches each source in the given order, each BFS cut off at the
+    shallowest edge-holding layer found so far, ties included.  depth and
+    low are scratch lists over the vertex ids, depth all -1; the searches
+    leave it so, and a caller running many records keeps the two lists.
+    sources must meet an odd cycle.
+    """
+    record = (len(adj), len(adj))
+    for s in sources:
+        found = _odd_layer(adj, s, record[0], depth, low)
+        if found is not None and found < record:
+            record = found
+    return record
+
+
+def _canonical_cycle(seq: list[int]) -> OddCycle:
+    # rotate so the smallest vertex leads; pick the direction with the
+    # smaller successor so each cycle has exactly one printed form
+    k = seq.index(min(seq))
+    rot = seq[k:] + seq[:k]
+    if len(rot) > 2 and rot[-1] < rot[1]:
+        rot = [rot[0]] + rot[1:][::-1]
+    return tuple(rot)
+
+
+def _path_to_root(v: int, parent: dict[int, int]) -> list[int]:
+    path = [v]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    path.reverse()  # root first
+    return path
+
+
+def _odd_cycle_from_conflict(u: int, v: int, parent: dict[int, int]) -> OddCycle:
+    # BFS-tree paths from the root share a prefix and diverge permanently, so
+    # splicing them at the last common vertex yields a simple cycle; u and v
+    # share a BFS layer, so it is odd.
+    pu = _path_to_root(u, parent)
+    pv = _path_to_root(v, parent)
+    i = 0
+    while i < min(len(pu), len(pv)) and pu[i] == pv[i]:
+        i += 1
+    cycle = pu[i - 1:] + pv[:i - 1:-1]
+    return _canonical_cycle(cycle)
+
+
+def witness_cycle(adj, first: int, h: int) -> OddCycle:
+    """The odd cycle of length 2h + 1 through first that one BFS from first,
+    stopped at depth h, gives: the lexicographically first edge with both
+    ends at depth h, its two tree paths spliced.  first must lie on a
+    shortest odd cycle of length 2h + 1."""
+    parent = {first: first}
+    layer = [first]
+    for _ in range(h):
+        nxt = []
+        for x in layer:
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+        layer = nxt
+    inside = set(layer)
+    u, v = min((u, v) for u in layer for v in adj[u] if v > u and v in inside)
+    return _odd_cycle_from_conflict(u, v, parent)
+
+
 def addable_side(g: Graph, ext_a, ext_b, v: int) -> str | None:
     """Which side v may join: "A" if distance >= 3 from ext_a, else "B", else None."""
     if v in ext_a or v in ext_b:
@@ -101,7 +267,7 @@ def addable_side(g: Graph, ext_a, ext_b, v: int) -> str | None:
 
 def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list[Addition]]:
     """Absorb one vertex per shortest odd cycle until the remainder is bipartite;
-    the returned state carries that remainder's two_coloring colors."""
+    the returned state carries that remainder's BFS 2-coloring."""
     ext = {"A": set(pair.a), "B": set(pair.b)}
     marked = pair.marked
     live = list(g.adj)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
-from .graph import Graph, bfs_distances, find_claw, is_cubic
+from .graph import INF, Graph, bfs_distances, find_claw, is_cubic
 from .formats import parse_graph6, write_graph6
 from .errors import PackfourError
 from .packing import Coloring, SSpec, verify_spacking
@@ -32,7 +32,8 @@ DEFAULT_VERTEX_CAP = 20
 
 def all_pairs_distances(g: Graph) -> list[list[float]]:
     """n x n matrix of hop distances (INF where unreachable)."""
-    return [bfs_distances(g, v) for v in range(g.n)]
+    dists = (bfs_distances(g, [s]) for s in range(g.n))
+    return [[d.get(v, INF) for v in range(g.n)] for d in dists]
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,22 @@ def ordered_map(fn, items: list, jobs: int) -> Iterator:
     """fn(x) for x in items, lazily and in input order, spread over
     min(jobs, len(items)) worker processes when that is 2 or more; a pool
     may start all its workers at the first task, so none is asked for
-    beyond the items.  A consumer that stops early (or closes the iterator)
-    cancels the work not yet started."""
+    beyond the items.  Each pool task takes a chunk of
+    max(1, min(16, len(items) // (4 * workers))) items, and its results
+    arrive together.  A consumer that stops early (or closes the iterator)
+    cancels the chunks not yet started."""
     workers = min(jobs, len(items))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # a task costs a round trip between processes, about as much as
+        # coloring one small graph; four tasks per worker or more keep the
+        # workers finishing close together, and 16 items at most keep a
+        # result from waiting on many others
+        chunk = max(1, min(16, len(items) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                yield from pool.map(fn, items)
+                yield from pool.map(fn, items, chunksize=chunk)
             finally:
                 pool.shutdown(cancel_futures=True)
         return

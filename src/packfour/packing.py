@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassOutOfRange, EmptySpec, NotNonDecreasing, NotPositive
-from .graph import Graph, bfs_distances, vertices_within
+from .graph import Graph, bfs_distances
 
 # a coloring is a plain list: index = vertex, value = class in 1..r
 Coloring = list[int]
@@ -82,7 +82,8 @@ def verify_spacking(g: Graph, s: SSpec, c: Coloring) -> Violation | None:
     would form the smaller violating pair (f, u).  Route 3 walks u upwards
     and stops at its first pair, or once u passes the smallest pair routes
     1 and 2 found.  The violation returned is the lexicographically smallest
-    pair over all routes, with its BFS distance.
+    pair over all routes, with its distance from a BFS bounded at its class's
+    radius.
     """
     if len(c) != g.n:
         raise ValueError(f"coloring covers {len(c)} vertices, graph has {g.n}")
@@ -111,11 +112,11 @@ def verify_spacking(g: Graph, s: SSpec, c: Coloring) -> Violation | None:
     for u in range(min(pairs)[0] + 1 if pairs else g.n):
         a = radius[c[u]]
         if a >= 3:
-            v = min((w for w in vertices_within(g, [u], a) if w > u and c[w] == c[u]), default=None)
+            v = min((w for w in bfs_distances(g, [u], a) if w > u and c[w] == c[u]), default=None)
             if v is not None:
                 pairs.append((u, v))
                 break
     if not pairs:
         return None
     u, v = min(pairs)
-    return Violation(u, v, c[u], bfs_distances(g, u)[v])
+    return Violation(u, v, c[u], bfs_distances(g, [u], radius[c[u]])[v])

@@ -32,24 +32,10 @@ tuples: every step builds two, and a tuple is built without a frozen
 dataclass's per-field setattr.
 
 Moves around a triangle are generated lazily in canonical order
-(Move.sort_key: additions, then removals), and a step takes the first.  An
-addition item (vertex, side) settles its forced removals once, when a step
-first needs it: the members of its side within distance 2 (condition (1)),
-and on the other side the vertex itself when it switches and the chosen
-vertices sharing a triangle with it (condition (3)).  Items whose forced
-removals fall twice on one side are dropped, and two additions on one side
-within distance 2, or on one triangle, are never paired.  A pair merges its
-items' forced removals side by side: two distinct removals on one side drop
-it, and a removal both items force counts once.  Any removal set holding the
-forced removals, at most one per side, then satisfies (1)-(3), so a combo
-whose additions outweigh its forced removals has a move (the forced removals
-alone), and one that does not has none.  Only a combo with a move reaches
-the removal-set generator, once per step.  Every chosen vertex weighs at
-least LIGHT, so an extra removal is affordable only when the additions
-outweigh the forced removals by more than LIGHT.  Every other combo gets the
-forced removals alone as its one move, and only the rest build and sort
-removal sets.  The first move a step finds has that much to spare only with
-a HEAVY addition.
+(Move.sort_key: additions, then removals), and a step takes the first:
+improving_moves forms the additions, one (vertex, side) item or a pair,
+_forced settles each item's forced removals once, on demand, and _exchanges
+turns a combo that outweighs its forced removals into its moves.
 
 A K4 component cannot satisfy (3) with two chosen vertices (any two of its
 vertices share a triangle), so its two smallest vertices are placed up front,
@@ -295,7 +281,9 @@ class _Search:
         leave free, while the additions outweigh the removals.  A chosen
         vertex lies on a triangle (condition (2)), so it weighs at least
         LIGHT: with slack <= LIGHT no extra is affordable and the forced
-        removals alone are the one move, returned with no set built."""
+        removals alone are the one move, returned with no set built.  The
+        first move a step finds has more to spare only with a HEAVY
+        addition."""
         add_a = tuple([v for v, side in combo if side == SIDE_A])
         add_b = tuple([v for v, side in combo if side == SIDE_B])
         if slack <= LIGHT:

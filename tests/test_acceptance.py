@@ -26,8 +26,7 @@ from packfour.generators import (
     problem1_family,
     random_cubic,
 )
-from packfour.graph import (ball2, build_graph, find_claw, induced_subgraph, is_cubic,
-                            list_triangles, two_coloring, vertices_within)
+from packfour.graph import ball2, bfs_distances, build_graph, find_claw, is_cubic, list_triangles
 from packfour.oracle import exists_spacking
 from packfour.packing import SSpec, verify_spacking
 from packfour import pipeline
@@ -37,6 +36,7 @@ from packfour.odd_cycle import reduce_odd_cycles
 
 import oracles
 from oracles import is_k_packing, recompute_pair
+from test_graph import induced_subgraph, two_coloring
 from test_triangle_break import replay_and_check
 
 S1122 = SSpec((1, 1, 2, 2))
@@ -248,10 +248,10 @@ def test_ball_table_matches_vertices_within(corpus):
         search = _Search(g)
         triangles = list_triangles(g)
         on_triangle = {v for t in triangles for v in t}
-        near = vertices_within(g, on_triangle, 1)
+        near = set(bfs_distances(g, on_triangle, 1))
         assert [v for v, ball in enumerate(search.ball2) if ball is not None] == sorted(near)
         for v in near:
-            assert search.ball2[v] == vertices_within(g, [v], 2) == ball2(g.adj, v)
+            assert search.ball2[v] == set(bfs_distances(g, [v], 2)) == ball2(g.adj, v)
         assert [v for v, m in enumerate(search.mates) if m is not None] == sorted(on_triangle)
         for v in on_triangle:
             assert search.mates[v] == {x for t in triangles if v in t for x in t}
@@ -272,7 +272,7 @@ def bridged_odd_pieces():
 
 
 def component(g, keep, v):
-    return vertices_within(induced_subgraph(g, keep), [v], g.n)
+    return set(bfs_distances(induced_subgraph(g, keep), [v]))
 
 
 def odd(g, keep):

@@ -16,7 +16,7 @@ from packfour.cli import main
 from packfour.formats import parse_graph6, write_graph6
 from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubic
 from packfour.packing import SSpec
-from packfour.oracle import exists_spacking
+from packfour.oracle import exists_spacking, ordered_map
 
 
 def run(capsys, *argv):
@@ -118,14 +118,16 @@ def test_color_jobs_matches_serial(tmp_path, capsys):
     assert serial == parallel
 
 
-def test_jobs_asks_for_no_more_workers_than_items(tmp_path, capsys, monkeypatch):
-    # a process pool may start every worker at its first task, so --jobs 64
-    # on a batch of two asks for two; the stand-in maps in this process
-    asked = []
+@pytest.fixture
+def pools(monkeypatch):
+    # a stand-in for the process pool that maps in this process and records
+    # each pool's workers, the chunk size of its map, and its shutdown
+    made = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            self.workers, self.chunk, self.cancelled = max_workers, None, None
+            made.append(self)
 
         def __enter__(self):
             return self
@@ -133,13 +135,20 @@ def test_jobs_asks_for_no_more_workers_than_items(tmp_path, capsys, monkeypatch)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            self.chunk = chunksize
             return map(fn, items)
 
         def shutdown(self, cancel_futures=False):
-            pass
+            self.cancelled = cancel_futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return made
+
+
+def test_jobs_asks_for_no_more_workers_than_items(tmp_path, capsys, pools):
+    # a process pool may start every worker at its first task, so --jobs 64
+    # on a batch of two asks for two
     two = write(tmp_path, "two.g6", f"{write_graph6(prism())}\n{write_graph6(k4())}\n")
     code, out, _ = run(capsys, "color", two, "--jobs", "64")
     assert code == 0 and len(out.splitlines()) == 2
@@ -147,7 +156,35 @@ def test_jobs_asks_for_no_more_workers_than_items(tmp_path, capsys, monkeypatch)
     assert run(capsys, "oracle", three, "--s", "1,1,2,2", "--jobs", "64")[0] == 0
     assert run(capsys, "experiment", "problem2", "--jobs", "64")[0] == 0  # 5 graphs
     assert run(capsys, "color", two, "--jobs", "2")[0] == 0
-    assert asked == [2, 3, 5, 2]
+    assert [p.workers for p in pools] == [2, 3, 5, 2]
+
+
+def test_jobs_chunk_size_follows_items_and_workers(tmp_path, capsys, pools):
+    # one rule for color, oracle and experiment problem2: at least four
+    # chunks per worker and at most 16 items a chunk, at least one item;
+    # the output is the serial run's, in input order
+    graphs = [k4(), prism(), cycle(5), petersen()]
+    for command, count, jobs, chunk in [("color", 160, 2, 16), ("color", 1570, 2, 16),
+                                        ("color", 40, 2, 5), ("color", 60, 3, 5),
+                                        ("oracle", 40, 2, 5), ("oracle", 7, 2, 1),
+                                        ("experiment", 160, 2, 16)]:
+        inp = write(tmp_path, "batch.g6",
+                    "".join(write_graph6(graphs[i % 4]) + "\n" for i in range(count)))
+        argv = {"color": ["color", inp], "oracle": ["oracle", inp, "--s", "1,1,2,2"],
+                "experiment": ["experiment", "problem2", "--input", inp]}[command]
+        serial = run(capsys, *argv)
+        pools.clear()
+        assert run(capsys, *argv, "--jobs", str(jobs)) == serial
+        assert [(p.workers, p.chunk) for p in pools] == [(jobs, chunk)], (command, count)
+
+
+def test_jobs_early_close_cancels_the_rest(pools):
+    # a consumer that closes the result iterator shuts the pool down with
+    # the chunks not yet started cancelled
+    results = ordered_map(str, list(range(100)), 2)
+    assert next(results) == "0"
+    results.close()
+    assert [(p.workers, p.chunk, p.cancelled) for p in pools] == [(2, 12, True)]
 
 
 def test_color_dot_output(tmp_path, capsys):

@@ -8,27 +8,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packfour import graph
+from packfour import odd_cycle
 from packfour.errors import DuplicateEdge, SelfLoop, VertexOutOfRange
 from packfour.generators import cycle, k4, k33, petersen, prism, problem1_family, random_cubic
 from packfour.graph import (
     INF,
+    Graph,
     ball2,
     bfs_distances,
     build_graph,
     find_claw,
-    induced_subgraph,
     is_cubic,
     list_triangles,
-    shortest_odd_cycle,
-    two_coloring,
-    vertices_within,
 )
-from packfour.odd_cycle import reduce_odd_cycles
+from packfour.odd_cycle import (color_components, odd_girth_record, reduce_odd_cycles,
+                                witness_cycle)
+from packfour.oracle import all_pairs_distances
 from packfour.triangle_break import break_triangles
 
 import oracles
 from oracles import graphs
+
+
+def induced_subgraph(g: Graph, keep) -> Graph:
+    """Subgraph induced by `keep`, on g's own vertex ids.
+
+    Vertices outside keep stay, isolated.  g's adjacency tuples are sorted,
+    so filtering them keeps them sorted and simple: no revalidation through
+    build_graph.
+    """
+    inside = [False] * g.n
+    for v in keep:
+        if not 0 <= v < g.n:
+            raise VertexOutOfRange(v, g.n)
+        inside[v] = True
+    adj = tuple(tuple([w for w in a if inside[w]]) if inside[v] else ()
+                for v, a in enumerate(g.adj))
+    return Graph(n=g.n, adj=adj)
+
+
+def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
+    """The reducer's BFS 2-coloring of a whole graph, roots ascending, as
+    (color, clash): clash lists the smaller ends of the edges whose ends
+    share a color, ascending and once each, so it is empty exactly when g is
+    bipartite, and then color is a proper 2-coloring."""
+    color = [-1] * g.n
+    odd = color_components(g.adj, range(g.n), color)
+    return color, sorted({u for _, clash in odd for u in clash})
+
+
+def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
+    """The reducer's witness for a whole graph: a minimum-length odd cycle,
+    or None if g is bipartite, from the three searches a reducer round runs
+    (see the odd_cycle module)."""
+    clash = two_coloring(g)[1]
+    if not clash:
+        return None
+    h, first = odd_girth_record(g.adj, clash, [-1] * g.n, [0] * g.n)
+    return witness_cycle(g.adj, first, h)
 
 
 def test_build_graph_validates():
@@ -119,12 +156,15 @@ def test_graph_basics():
 
 
 def test_bfs_distances_prism():
-    assert bfs_distances(prism(), 0) == [0, 1, 1, 1, 2, 2]
+    assert bfs_distances(prism(), [0]) == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2}
+    assert all_pairs_distances(prism())[0] == [0, 1, 1, 1, 2, 2]
 
 
 def test_bfs_unreachable_is_inf():
+    # an unreachable vertex has no entry, and the oracle's matrix reads INF
     g = build_graph(4, [(0, 1)])
-    d = bfs_distances(g, 0)
+    assert bfs_distances(g, [0]) == {0: 0, 1: 1}
+    d = all_pairs_distances(g)[0]
     assert d[0] == 0 and d[1] == 1
     assert d[2] is INF and d[3] is INF
     assert math.isinf(d[2])
@@ -134,28 +174,33 @@ def test_bfs_unreachable_is_inf():
 @settings(max_examples=60)
 def test_bfs_agrees_with_floyd_warshall(g):
     fw = oracles.floyd_warshall(g)
+    matrix = all_pairs_distances(g)
     for s in range(g.n):
-        d = bfs_distances(g, s)
+        d = matrix[s]
         for v in range(g.n):
             assert (d[v] is INF) == (fw[s][v] == oracles.INF)
             if d[v] is not INF:
                 assert d[v] == fw[s][v]
+        # a search bounded at radius r holds exactly the vertices within r
+        for r in range(4):
+            assert bfs_distances(g, [s], r) == {v: fw[s][v] for v in range(g.n)
+                                                if fw[s][v] <= r}
 
 
 def test_vertices_within():
     g = prism()
-    assert vertices_within(g, [0], 0) == {0}
-    assert vertices_within(g, [0], 1) == {0, 1, 2, 3}
-    assert vertices_within(g, [0], 2) == set(range(6))
-    assert vertices_within(g, [], 2) == set()
-    assert vertices_within(g, [0, 4], 1) == {0, 1, 2, 3, 4, 5}
+    assert bfs_distances(g, [0], 0) == {0: 0}
+    assert set(bfs_distances(g, [0], 1)) == {0, 1, 2, 3}
+    assert set(bfs_distances(g, [0], 2)) == set(range(6))
+    assert bfs_distances(g, [], 2) == {}
+    assert bfs_distances(g, [0, 4], 1) == {0: 0, 1: 1, 2: 1, 3: 1, 4: 0, 5: 1}
 
 
 @given(graphs(max_n=10))
 @settings(max_examples=60)
 def test_ball2_agrees_with_vertices_within_at_any_degree(g):
     # the reducer asks for balls on graphs it does not check for cubicity
-    assert [ball2(g.adj, v) for v in range(g.n)] == [vertices_within(g, [v], 2)
+    assert [ball2(g.adj, v) for v in range(g.n)] == [set(bfs_distances(g, [v], 2))
                                                      for v in range(g.n)]
 
 
@@ -286,7 +331,7 @@ def test_shortest_odd_cycle_folds_every_parent():
                          (4, 9), (6, 7), (6, 10), (6, 14), (9, 14), (10, 11), (10, 13), (12, 13)])
     assert two_coloring(g)[1] == [2]
     depth = [-1] * g.n
-    assert graph._odd_layer(g.adj, 2, g.n, depth, [0] * g.n) == (4, 1)
+    assert odd_cycle._odd_layer(g.adj, 2, g.n, depth, [0] * g.n) == (4, 1)
     assert depth == [-1] * g.n
     assert shortest_odd_cycle(g) == (1, 5, 2, 8, 3, 11, 10, 6, 7)
     assert oracles.reference_shortest_odd_cycle(g) == (1, 5, 2, 8, 3, 11, 10, 6, 7)
@@ -382,13 +427,13 @@ def _clash_edges(g):
 def searched(monkeypatch):
     # the sources of every bounded per-source BFS shortest_odd_cycle runs
     sources = []
-    search = graph._odd_layer
+    search = odd_cycle._odd_layer
 
     def counted(adj, s, radius, depth, low):
         sources.append(s)
         return search(adj, s, radius, depth, low)
 
-    monkeypatch.setattr(graph, "_odd_layer", counted)
+    monkeypatch.setattr(odd_cycle, "_odd_layer", counted)
     return sources
 
 

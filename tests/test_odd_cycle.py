@@ -9,8 +9,7 @@ from packfour import odd_cycle
 from packfour.errors import StuckOddCycle
 from packfour.generators import inflate, k4, petersen, prism, problem1_family, random_cubic
 from packfour.formats import coloring_from_certificate, read_certificate
-from packfour.graph import (build_graph, find_claw, induced_subgraph, is_cubic, list_triangles,
-                            two_coloring)
+from packfour.graph import build_graph, find_claw, is_cubic, list_triangles
 from packfour.odd_cycle import Addition, addable_side, reduce_odd_cycles
 from packfour.packing import SSpec, verify_spacking
 from packfour.pipeline import color_claw_free_cubic
@@ -18,6 +17,7 @@ from packfour.triangle_break import break_triangles
 
 import oracles
 from oracles import is_k_packing
+from test_graph import induced_subgraph, two_coloring
 
 
 def pentagonal_prism():

@@ -174,16 +174,21 @@ def test_singleton_classes_always_pass():
 @pytest.mark.parametrize("base_n", [160, 1600])
 def test_verify_1122_searches_no_ball(monkeypatch, base_n):
     # radii 1 and 2 need no ball search: a valid coloring at n ~ 10^3 and
-    # n ~ 10^4 passes, and single flips are caught, with vertices_within gone
+    # n ~ 10^4 passes with no BFS at all, and single flips are caught with
+    # one BFS only, bounded at the violated class's radius, for the distance
     g = oracles.diamond_strings(base_n, 1, 0.3, 7)
     coloring, _ = color_claw_free_cubic(g)
+    radii = []
+    search = packing.bfs_distances
 
-    def no_ball(*args):
-        raise AssertionError("ball search on (1,1,2,2)")
+    def bounded(g, sources, radius):
+        radii.append(radius)
+        return search(g, sources, radius)
 
-    monkeypatch.setattr(packing, "vertices_within", no_ball)
+    monkeypatch.setattr(packing, "bfs_distances", bounded)
     s = (1, 1, 2, 2)
     assert verify_spacking(g, SSpec(s), coloring) is None
+    assert radii == []
     dists = set()
     for f in range(0, g.n, g.n // 7):
         # the unflipped coloring passes, so every violation of a flip at f
@@ -203,6 +208,8 @@ def test_verify_1122_searches_no_ball(monkeypatch, base_n):
                          for i in range(len(ball)) for j in range(i + 1, len(ball))
                          if local[i] == local[j] and dist[i][j] <= s[local[i] - 1]]
             expected = Violation(*min(violating)) if violating else None
+            radii.clear()
             assert verify_spacking(g, SSpec(s), flipped) == expected
+            assert radii == ([] if expected is None else [s[expected.class_index - 1]])
             dists.add(None if expected is None else expected.dist)
     assert dists == {None, 1, 2}  # passes, and both routes caught something

@@ -22,7 +22,7 @@ from packfour.generators import (
     prism,
     random_cubic,
 )
-from packfour.graph import build_graph, vertices_within
+from packfour.graph import bfs_distances, build_graph
 from packfour.triangle_break import (
     HEAVY,
     LIGHT,
@@ -604,7 +604,7 @@ def test_near_reads_three_balls_for_nine(g):
     search = _Search(g)
     for t in search.triangles:
         nine = set().union(*[search.ball2[u] for x in t for u in g.adj[x]])
-        assert search.near(t) == nine == vertices_within(g, t, 3)
+        assert search.near(t) == nine == set(bfs_distances(g, t, 3))
 
 
 def test_pair_is_frozen():
