@@ -8,10 +8,15 @@ without the test dependencies:
 
     python scripts/certificate_digest.py
 
+Each certificate must also be canonical JSON, the text json.dumps gives on
+its own decoding with sorted keys and no whitespace: the writer encodes the
+certificate by hand, and this checks that encoding on every CPython the
+script runs on.
+
 Prints the digest and the number of certificates; exits 0 when the digest
-matches the pinned one and 1 when it does not.  A change to the certificates
-that is meant (a different move order, witness or certificate field) has to
-re-pin PINNED and say why.
+matches the pinned one and every certificate is canonical, and 1 otherwise.
+A change to the certificates that is meant (a different move order, witness
+or certificate field) has to re-pin PINNED and say why.
 
 The set: the named claw-free graphs, diamond necklaces, triangle inflations
 of seeded random cubic graphs, and clawed problem1 gadgets colored with
@@ -23,6 +28,7 @@ vertices from one giant remainder component, on long odd cycles.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -52,27 +58,30 @@ def cases():
     yield problem1_family(1000, 1), True
 
 
-def digest() -> tuple[str, int, int]:
-    """The digest, the number of certificates, and how many of them record
-    a reducer absorption."""
+def digest() -> tuple[str, int, int, int]:
+    """The digest, the number of certificates, how many of them record a
+    reducer absorption, and how many are not canonical JSON."""
     total = hashlib.sha256()
-    count = absorbing = 0
+    count = absorbing = noncanonical = 0
     for g, force in cases():
         _, certificate = color_claw_free_cubic(g, force=force)
         total.update(hashlib.sha256(certificate.encode("utf-8")).digest())
         count += 1
         absorbing += '"reducer_trace":[]' not in certificate
-    return total.hexdigest(), count, absorbing
+        noncanonical += (json.dumps(json.loads(certificate), sort_keys=True,
+                                    separators=(",", ":")) != certificate)
+    return total.hexdigest(), count, absorbing, noncanonical
 
 
 def main() -> int:
-    value, count, absorbing = digest()
+    value, count, absorbing, noncanonical = digest()
     print(f"{value} over {count} certificates, {absorbing} with reducer absorptions "
           f"(Python {sys.version.split()[0]})")
     if value != PINNED:
         print(f"certificate digest differs from the pinned {PINNED}", file=sys.stderr)
-        return 1
-    return 0
+    if noncanonical:
+        print(f"{noncanonical} certificates are not canonical JSON", file=sys.stderr)
+    return int(value != PINNED or noncanonical > 0)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,14 @@ n(n-1)/2 are padding and ignored, whatever their value.  The adjacency lists
 are built straight from those bits, without build_graph: graph6 cannot
 express a self-loop, a duplicate edge or an endpoint outside 0..n-1, and the
 column-major bit order appends every neighbour in increasing order.
+
+Certificates are written here and nowhere else.  write_certificate takes the
+step tuples the triangle breaker and the odd-cycle reducer return and writes
+the text json.dumps(cert, sort_keys=True, separators=(",", ":")) would give,
+by hand: one format string for the top level and one per trace record kind,
+each with its keys in sorted order and None written as null, and the classes
+and edges through one compact JSONEncoder.  No dict is built per step.  The
+tests and scripts/certificate_digest.py check the text against json.dumps.
 """
 
 from __future__ import annotations
@@ -156,39 +164,45 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(header[0], edges)
 
 
-def _empty_trace() -> dict:
-    return {"lemma": [], "reducer": []}
+_ENCODE = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_LEMMA_RECORD = ('{"addA":[%s],"addB":[%s],"gamma_after":%d,"removeA":%s,"removeB":%s,'
+                 '"w_after":%d,"w_before":%d}')
+_REDUCER_RECORD = '{"cycle_length":%d,"side":"%s","vertex":%d}'
+_CERTIFICATE = ('{"classes":%s,"edges":%s,"lemma_trace":[%s],"n":%d,"reducer_trace":[%s],'
+                '"s_spec":%s,"verified":true}')
 
 
-def write_certificate(g: Graph, coloring: Coloring, trace: dict | None = None) -> str:
+def write_certificate(g: Graph, coloring: Coloring, lemma=(), reducer=()) -> str:
     """Serialize a verified (1,1,2,2) coloring to canonical JSON.
 
-    Re-runs the verifier and refuses anything it rejects, so a certificate on
-    disk always certifies.  Keys are sorted and set-like arrays ascending;
-    byte-identical output for identical inputs.  The edges are read straight
-    off g's sorted adjacency tuples, (u, v) with u < v in lexicographic
-    order.  json's check for circular references is off: the dict is built
-    here from fresh lists, and the step records of a trace are flat dicts of
-    numbers, None and lists of numbers, so no container holds itself and the
-    check would only cost a lookup per container.
+    lemma and reducer are the step tuples break_triangles and
+    reduce_odd_cycles return, AppliedMove and Addition; they become
+    lemma_trace and reducer_trace, one record per step.  Re-runs the
+    verifier and refuses anything it rejects, so a certificate on disk
+    always certifies.  Byte-identical output for identical inputs.
+
+    The classes are filled in vertex order, so each lists its members
+    ascending, and the edges are read straight off g's sorted adjacency
+    tuples, (u, v) with u < v in lexicographic order.  The encoder's check
+    for circular references is off: it only sees fresh lists and tuples of
+    integers.
     """
     violation = verify_spacking(g, SPEC_1122, coloring)
     if violation is not None:
         raise RefusesUnverified(violation)
-    trace = trace if trace is not None else _empty_trace()
-    classes = {name: [] for name in CLASS_NAMES.values()}
+    classes = {name: [] for name in CLASS_NAMES.values()}  # keys in sorted order
     for v, cls in enumerate(coloring):
         classes[CLASS_NAMES[cls]].append(v)
-    cert = {
-        "n": g.n,
-        "edges": [[u, v] for u, a in enumerate(g.adj) for v in a if v > u],
-        "s_spec": list(SPEC_1122.values),
-        "classes": {name: sorted(vs) for name, vs in classes.items()},
-        "lemma_trace": trace.get("lemma", []),
-        "reducer_trace": trace.get("reducer", []),
-        "verified": True,
-    }
-    return json.dumps(cert, sort_keys=True, separators=(",", ":"), check_circular=False)
+    lemma_trace = ",".join([
+        _LEMMA_RECORD % (",".join(map(str, add_a)), ",".join(map(str, add_b)), gamma_after,
+                         "null" if remove_a is None else remove_a,
+                         "null" if remove_b is None else remove_b, w_after, w_before)
+        for (add_a, add_b, remove_a, remove_b), w_before, w_after, gamma_after in lemma])
+    reducer_trace = ",".join([_REDUCER_RECORD % (step.cycle_length, step.side, step.vertex)
+                              for step in reducer])
+    edges = [(u, v) for u, a in enumerate(g.adj) for v in a if v > u]
+    return _CERTIFICATE % (_ENCODE(classes), _ENCODE(edges), lemma_trace, g.n, reducer_trace,
+                           _ENCODE(SPEC_1122.values))
 
 
 def read_certificate(text: str) -> dict:

@@ -33,7 +33,14 @@ opposite edge inside one layer.  Three searches find it without the scan:
   witness source.
 - witness_cycle's one BFS from the witness source, stopped at depth h,
   gives the lexicographically first edge with both ends at depth h, whose
-  tree paths are spliced into the cycle.
+  tree paths are spliced into the cycle.  The two paths share only the
+  source: a second shared vertex at depth d > 0 would close an odd walk of
+  length 2(h - d) + 1 < 2h + 1, shorter than the odd girth.  So the closed
+  walk is a simple cycle, and the source, the least vertex on any shortest
+  odd cycle of its component, is its minimum.  The splice is the source,
+  the path down to one end, and the path from the other end back up, in
+  the direction whose second vertex is the smaller; it needs no search for
+  a common prefix and no rotation.
 
 None of this needs the remainder to be claw-free or of maximum degree 2.
 
@@ -90,9 +97,6 @@ class Addition:
     vertex: int
     side: str  # "A" or "B"
     cycle_length: int
-
-    def to_record(self) -> dict:
-        return {"vertex": self.vertex, "side": self.side, "cycle_length": self.cycle_length}
 
 
 @dataclass(frozen=True)
@@ -202,42 +206,13 @@ def odd_girth_record(adj, sources, depth: list[int], low: list[int]) -> tuple[in
     return record
 
 
-def _canonical_cycle(seq: list[int]) -> OddCycle:
-    # rotate so the smallest vertex leads; pick the direction with the
-    # smaller successor so each cycle has exactly one printed form
-    k = seq.index(min(seq))
-    rot = seq[k:] + seq[:k]
-    if len(rot) > 2 and rot[-1] < rot[1]:
-        rot = [rot[0]] + rot[1:][::-1]
-    return tuple(rot)
-
-
-def _path_to_root(v: int, parent: dict[int, int]) -> list[int]:
-    path = [v]
-    while parent[path[-1]] != path[-1]:
-        path.append(parent[path[-1]])
-    path.reverse()  # root first
-    return path
-
-
-def _odd_cycle_from_conflict(u: int, v: int, parent: dict[int, int]) -> OddCycle:
-    # BFS-tree paths from the root share a prefix and diverge permanently, so
-    # splicing them at the last common vertex yields a simple cycle; u and v
-    # share a BFS layer, so it is odd.
-    pu = _path_to_root(u, parent)
-    pv = _path_to_root(v, parent)
-    i = 0
-    while i < min(len(pu), len(pv)) and pu[i] == pv[i]:
-        i += 1
-    cycle = pu[i - 1:] + pv[:i - 1:-1]
-    return _canonical_cycle(cycle)
-
-
 def witness_cycle(adj, first: int, h: int) -> OddCycle:
-    """The odd cycle of length 2h + 1 through first that one BFS from first,
-    stopped at depth h, gives: the lexicographically first edge with both
-    ends at depth h, its two tree paths spliced.  first must lie on a
-    shortest odd cycle of length 2h + 1."""
+    """The odd cycle of length 2h + 1 that one BFS from first, stopped at
+    depth h, gives: the lexicographically first edge (u, v) with both ends
+    at depth h, then first, the tree path down to u, and the tree path from
+    v back up to depth 1, reversed when its last vertex is smaller than its
+    second.  first must be the least vertex on a shortest odd cycle, of
+    length 2h + 1, of its component (see the module docstring)."""
     parent = {first: first}
     layer = [first]
     for _ in range(h):
@@ -250,7 +225,14 @@ def witness_cycle(adj, first: int, h: int) -> OddCycle:
         layer = nxt
     inside = set(layer)
     u, v = min((u, v) for u in layer for v in adj[u] if v > u and v in inside)
-    return _odd_cycle_from_conflict(u, v, parent)
+    down, up = [u], [v]
+    for _ in range(h - 1):
+        down.append(parent[down[-1]])
+        up.append(parent[up[-1]])
+    cycle = [first, *reversed(down), *up]
+    if cycle[-1] < cycle[1]:
+        cycle[1:] = cycle[:0:-1]
+    return tuple(cycle)
 
 
 def addable_side(g: Graph, ext_a, ext_b, v: int) -> str | None:

@@ -43,9 +43,5 @@ def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]
         coloring[v] = CLASS_2A
     for v in state.ext_b:
         coloring[v] = CLASS_2B
-    trace = {
-        "lemma": [step.to_record() for step in lemma_trace],
-        "reducer": [step.to_record() for step in reducer_trace],
-    }
-    certificate = write_certificate(g, coloring, trace)
+    certificate = write_certificate(g, coloring, lemma_trace, reducer_trace)
     return coloring, certificate

@@ -93,17 +93,6 @@ class AppliedMove(NamedTuple):
     weight_after: int
     surviving_after: int
 
-    def to_record(self) -> dict:
-        return {
-            "removeA": self.move.remove_a,
-            "removeB": self.move.remove_b,
-            "addA": list(self.move.add_a),
-            "addB": list(self.move.add_b),
-            "w_before": self.weight_before,
-            "w_after": self.weight_after,
-            "gamma_after": self.surviving_after,
-        }
-
 
 class _Search:
     """The triangle index, mates and radius-2 balls of one graph, and the pair

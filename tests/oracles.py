@@ -438,6 +438,27 @@ def reference_coloring_from_certificate(cert: dict):
     return g, s, coloring
 
 
+def reference_lemma_records(trace) -> list[dict]:
+    """One dict per breaker step, AppliedMove, as a certificate's
+    lemma_trace holds it once decoded."""
+    return [{
+        "removeA": am.move.remove_a,
+        "removeB": am.move.remove_b,
+        "addA": list(am.move.add_a),
+        "addB": list(am.move.add_b),
+        "w_before": am.weight_before,
+        "w_after": am.weight_after,
+        "gamma_after": am.surviving_after,
+    } for am in trace]
+
+
+def reference_reducer_records(additions) -> list[dict]:
+    """One dict per reducer absorption, Addition, as a certificate's
+    reducer_trace holds it once decoded."""
+    return [{"vertex": a.vertex, "side": a.side, "cycle_length": a.cycle_length}
+            for a in additions]
+
+
 def permute(g: Graph, perm: list[int]) -> Graph:
     """Relabel: vertex v becomes perm[v]."""
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from functools import lru_cache
 
@@ -30,11 +31,14 @@ from packfour.formats import (
 from packfour.generators import (cycle, inflate, k4, petersen, prism, problem1_family,
                                  random_cubic)
 from packfour.graph import build_graph
+from packfour.odd_cycle import Addition, reduce_odd_cycles
 from packfour.packing import verify_spacking
 from packfour.pipeline import color_claw_free_cubic
+from packfour.triangle_break import AppliedMove, Move, break_triangles
 
 import oracles
 from oracles import graphs
+from test_acceptance import build_corpus
 
 
 # ---------------------------------------------------------------- graph6
@@ -262,10 +266,65 @@ def test_certificate_refuses_bad_coloring():
 
 
 def test_certificate_carries_traces():
-    cert = json.loads(write_certificate(prism(), PRISM_COLORING,
-                                        trace={"lemma": [{"w_before": 0}], "reducer": []}))
-    assert cert["lemma_trace"] == [{"w_before": 0}]
-    assert cert["reducer_trace"] == []
+    lemma = [AppliedMove(Move(add_a=(3,), add_b=(0,), remove_a=0), 1, 2, 0)]
+    reducer = [Addition(7, "B", 5)]
+    cert = json.loads(write_certificate(prism(), PRISM_COLORING, lemma, reducer))
+    assert cert["lemma_trace"] == [{"addA": [3], "addB": [0], "gamma_after": 0, "removeA": 0,
+                                    "removeB": None, "w_after": 2, "w_before": 1}]
+    assert cert["reducer_trace"] == [{"cycle_length": 5, "side": "B", "vertex": 7}]
+    empty = json.loads(write_certificate(prism(), PRISM_COLORING))
+    assert empty["lemma_trace"] == empty["reducer_trace"] == []
+
+
+def hand_made_steps() -> tuple[list[AppliedMove], list[Addition]]:
+    """Breaker steps with every mix of None and integer removals and zero to
+    two additions per side, and reducer records on both sides."""
+    adds = [(), (3,), (3, 17)]
+    lemma = [AppliedMove(Move(add_a, add_b, remove_a, remove_b), w, w + 2, 10 - w)
+             for w, (add_a, add_b, remove_a, remove_b)
+             in enumerate(itertools.product(adds, adds, (None, 0), (None, 12)))]
+    reducer = [Addition(7, "A", 5), Addition(0, "B", 11), Addition(12, "A", 3)]
+    return lemma, reducer
+
+
+def certificate_cases():
+    """(graph, force) for the trace cross-check: the acceptance corpus, the
+    clawed problem1 gadgets colored with force, diamond strings, and a
+    diamond chain, claw-free input whose reducer absorbs."""
+    for g in build_corpus():
+        yield g, False
+    for n in (10, 20, 40):
+        for seed in range(4):
+            yield problem1_family(n, seed), True
+    for base_n, seed in ((40, 1), (60, 2), (100, 3)):
+        yield oracles.diamond_strings(base_n, 1, 0.3, seed), False
+    yield oracles.diamond_chain(10), False
+
+
+def test_trace_text_matches_json_dumps():
+    # the hand encoding of the trace records writes what json.dumps writes
+    # on the reference records, and the whole certificate is canonical JSON
+    def canonical(value) -> str:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    def check(certificate, lemma, reducer):
+        lemma_text, rest = certificate.split(',"lemma_trace":', 1)[1].split(',"n":', 1)
+        reducer_text = rest.split('"reducer_trace":', 1)[1].split(',"s_spec":', 1)[0]
+        assert lemma_text == canonical(oracles.reference_lemma_records(lemma))
+        assert reducer_text == canonical(oracles.reference_reducer_records(reducer))
+        assert canonical(json.loads(certificate)) == certificate
+
+    absorbing = 0
+    for g, force in certificate_cases():
+        coloring, certificate = color_claw_free_cubic(g, force=force)
+        pair, lemma = break_triangles(g)
+        _, reducer = reduce_odd_cycles(g, pair)
+        assert write_certificate(g, coloring, lemma, reducer) == certificate
+        check(certificate, lemma, reducer)
+        absorbing += bool(reducer)
+    assert absorbing == 12
+    lemma, reducer = hand_made_steps()
+    check(write_certificate(prism(), PRISM_COLORING, lemma, reducer), lemma, reducer)
 
 
 def test_read_certificate_errors():

@@ -362,7 +362,7 @@ def test_break_k4_frozen():
     pair, trace = break_triangles(k4())
     assert (sorted(pair.a), sorted(pair.b)) == ([0], [1])
     assert pair.weight == 4 and pair.surviving == 0
-    assert [am.to_record() for am in trace] == [
+    assert oracles.reference_lemma_records(trace) == [
         {"removeA": None, "removeB": None, "addA": [0], "addB": [1],
          "w_before": 0, "w_after": 4, "gamma_after": 0},
     ]
@@ -371,7 +371,7 @@ def test_break_k4_frozen():
 def test_break_prism_frozen():
     pair, trace = break_triangles(prism())
     assert (sorted(pair.a), sorted(pair.b)) == ([3], [0])
-    assert [am.to_record() for am in trace] == [
+    assert oracles.reference_lemma_records(trace) == [
         {"removeA": None, "removeB": None, "addA": [0], "addB": [],
          "w_before": 0, "w_after": 1, "gamma_after": 1},
         {"removeA": 0, "removeB": None, "addA": [3], "addB": [0],
@@ -494,7 +494,7 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
     assert counts["combos"] == steps
     assert counts["removal_sets"] == 0
     assert counts["pairs"] == 1
-    records = json.dumps([am.to_record() for am in trace], sort_keys=True)
+    records = json.dumps(oracles.reference_lemma_records(trace), sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == digest
 
 
@@ -573,10 +573,10 @@ def test_every_valid_pair_with_survivors_admits_a_move(make, fixed):
 
 def test_applied_move_record_shape():
     am = AppliedMove(Move(add_a=(3,), add_b=(0,), remove_a=0), 1, 2, 0)
-    assert am.to_record() == {
+    assert oracles.reference_lemma_records([am]) == [{
         "removeA": 0, "removeB": None, "addA": [3], "addB": [0],
         "w_before": 1, "w_after": 2, "gamma_after": 0,
-    }
+    }]
 
 
 def test_step_records_are_frozen_and_hash_by_their_fields():
