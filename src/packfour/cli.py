@@ -42,15 +42,6 @@ from .formats import (
     write_dot,
     write_graph6,
 )
-from .generators import (
-    diamond_necklace,
-    inflate,
-    k4,
-    named_graph,
-    prism,
-    problem1_family,
-    random_cubic,
-)
 from .graph import Graph
 from .oracle import DEFAULT_VERTEX_CAP, batch_decide, exists_spacking, ordered_map
 from .packing import SSpec, parse_sspec, verify_spacking
@@ -211,6 +202,8 @@ def cmd_oracle(args) -> int:
 
 
 def _gen_graphs(args) -> list[Graph]:
+    from .generators import diamond_necklace, inflate, named_graph, problem1_family, random_cubic
+
     seed = _default_seed(args.seed)
     if args.family == "named":
         return [named_graph(args.name)]
@@ -246,6 +239,8 @@ def cmd_gen(args) -> int:
 def _experiment_corpus(args) -> list[str]:
     if args.input:
         return _lines(_read_text(args.input))
+    from .generators import diamond_necklace, inflate, k4, prism
+
     default = [k4(), prism(), diamond_necklace(2), diamond_necklace(3), inflate(k4())]
     return [write_graph6(g) for g in default]
 
@@ -262,6 +257,8 @@ def cmd_experiment(args) -> int:
         print(json.dumps(summary, sort_keys=True))
         return 0
     # problem1: constructive family, pipeline first (forced), oracle fallback
+    from .generators import problem1_family
+
     seed = _default_seed(args.seed)
     sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
     results = []

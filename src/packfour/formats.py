@@ -61,10 +61,10 @@ def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (no trailing newline, no ">>graph6<<" header)."""
     if len(line) == 0:
         raise LengthMismatch(1, 0)
-    bad = _BAD_G6.search(line)
-    if bad:
-        raise BadChar(bad.start())
-    data = line.encode("ascii")
+    # deleting every valid byte leaves nothing on a good line; the regex
+    # runs only on a bad one, to name its first bad character
+    if not line.isascii() or (data := line.encode("ascii")).translate(None, _G6_CHARS):
+        raise BadChar(_BAD_G6.search(line).start())
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise UnsupportedHeader()
@@ -97,7 +97,7 @@ def parse_graph6(line: str) -> Graph:
         adj[u].append(v)
         adj[v].append(u)
         k = bits.find("1", k + 1)
-    return Graph(n=n, adj=tuple(map(tuple, adj)))
+    return Graph(n, tuple(map(tuple, adj)))
 
 
 def write_graph6(g: Graph) -> str:
@@ -114,9 +114,10 @@ def write_graph6(g: Graph) -> str:
     if groups == 0:
         return header.decode("ascii")
     bits = bytearray(b"0") * (24 * groups)
+    adj = g.adj
     for v in range(1, n):
         col = v * (v - 1) // 2
-        for u in g.adj[v]:
+        for u in adj[v]:
             if u >= v:
                 break
             bits[col + u] = 49  # ord("1")
@@ -182,10 +183,10 @@ def write_certificate(g: Graph, coloring: Coloring, lemma=(), reducer=()) -> str
     always certifies.  Byte-identical output for identical inputs.
 
     The classes are filled in vertex order, so each lists its members
-    ascending, and the edges are read straight off g's sorted adjacency
-    tuples, (u, v) with u < v in lexicographic order.  The encoder's check
-    for circular references is off: it only sees fresh lists and tuples of
-    integers.
+    ascending, and the edges are g.edges(), read straight off g's sorted
+    adjacency tuples, (u, v) with u < v in lexicographic order.  The
+    encoder's check for circular references is off: it only sees fresh
+    lists and tuples of integers.
     """
     violation = verify_spacking(g, SPEC_1122, coloring)
     if violation is not None:
@@ -198,10 +199,9 @@ def write_certificate(g: Graph, coloring: Coloring, lemma=(), reducer=()) -> str
                          "null" if remove_a is None else remove_a,
                          "null" if remove_b is None else remove_b, w_after, w_before)
         for (add_a, add_b, remove_a, remove_b), w_before, w_after, gamma_after in lemma])
-    reducer_trace = ",".join([_REDUCER_RECORD % (step.cycle_length, step.side, step.vertex)
-                              for step in reducer])
-    edges = [(u, v) for u, a in enumerate(g.adj) for v in a if v > u]
-    return _CERTIFICATE % (_ENCODE(classes), _ENCODE(edges), lemma_trace, g.n, reducer_trace,
+    reducer_trace = ",".join([_REDUCER_RECORD % (cycle_length, side, vertex)
+                              for vertex, side, cycle_length in reducer])
+    return _CERTIFICATE % (_ENCODE(classes), _ENCODE(g.edges()), lemma_trace, g.n, reducer_trace,
                            _ENCODE(SPEC_1122.values))
 
 

@@ -70,8 +70,8 @@ def _substitute(base: Graph, gadgets) -> Graph:
     offset = list(itertools.accumulate([size for size, _ in gadgets], initial=0))
     edges = [(offset[v] + x, offset[v] + y) for v, (_, local) in enumerate(gadgets)
              for x, y in local]
-    edges += [(offset[u] + base.adj[u].index(v), offset[v] + base.adj[v].index(u))
-              for u, v in base.edges()]
+    adj = base.adj
+    edges += [(offset[u] + adj[u].index(v), offset[v] + adj[v].index(u)) for u, v in base.edges()]
     return build_graph(offset[-1], edges)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DuplicateEdge, NotCubic, SelfLoop, VertexOutOfRange
 
@@ -18,21 +18,17 @@ INF = math.inf
 Triangle = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    adj: tuple[tuple[int, ...], ...]
+class Graph(namedtuple("Graph", "n adj")):
+    """n vertices and their adjacency tuples, adj: tuple[tuple[int, ...], ...]."""
+    __slots__ = ()
 
     @property
     def m(self) -> int:
         return sum(map(len, self.adj)) // 2
 
-    def edges(self):
-        """Yield edges (u, v) with u < v in lexicographic order."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if v > u:
-                    yield (u, v)
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges (u, v) with u < v in lexicographic order."""
+        return [(u, v) for u, a in enumerate(self.adj) for v in a if v > u]
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -63,7 +59,7 @@ def build_graph(n: int, edges) -> Graph:
         adj[v].append(u)
         pu, pv = u, v
     else:
-        return Graph(n=n, adj=tuple(map(tuple, adj)))
+        return Graph(n, tuple(map(tuple, adj)))
     # (u, v) is out of order: it and the rest of the list go through the
     # checking loop, onto the neighbour sets built so far
     nbrs = [set(a) for a in adj]
@@ -78,13 +74,14 @@ def build_graph(n: int, edges) -> Graph:
             raise DuplicateEdge(u, v)
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in nbrs))
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def bfs_distances(g: Graph, sources, radius: float = INF) -> dict[int, int]:
     """Hop distance from the nearest source to every vertex at most radius
     away, the sources included at 0.  Vertices beyond radius, or unreachable,
     have no entry, so a bounded search costs what it visits."""
+    adj = g.adj
     dist = dict.fromkeys(sources, 0)
     layer = list(dist)
     d = 0
@@ -92,7 +89,7 @@ def bfs_distances(g: Graph, sources, radius: float = INF) -> dict[int, int]:
         d += 1
         nxt = []
         for u in layer:
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if v not in dist:
                     dist[v] = d
                     nxt.append(v)

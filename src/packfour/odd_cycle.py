@@ -83,7 +83,7 @@ the remainder.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import StuckOddCycle
 from .graph import Graph, ball2, find_claw
@@ -92,23 +92,17 @@ from .triangle_break import PackingPair
 OddCycle = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Addition:
-    vertex: int
-    side: str  # "A" or "B"
-    cycle_length: int
+class Addition(namedtuple("Addition", "vertex side cycle_length")):
+    # side is "A" or "B"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReductionState:
-    """What the reducer hands on: the grown sides, the remainder, the log,
-    and the remainder's 2-coloring on g's ids (None in a stuck snapshot,
-    whose remainder is not bipartite)."""
-    ext_a: frozenset[int]
-    ext_b: frozenset[int]
-    remaining: frozenset[int]
-    additions: tuple[Addition, ...]
-    color: tuple[int, ...] | None
+class ReductionState(namedtuple("ReductionState", "ext_a ext_b remaining additions color")):
+    """What the reducer hands on: the grown sides, the remainder (frozensets),
+    the log (a tuple of Additions), and the remainder's 2-coloring on g's
+    ids as a tuple (None in a stuck snapshot, whose remainder is not
+    bipartite)."""
+    __slots__ = ()
 
 
 def color_components(adj, roots, color: list[int]) -> list[tuple[list[int], list[int]]]:
@@ -252,12 +246,13 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
     the returned state carries that remainder's BFS 2-coloring."""
     ext = {"A": set(pair.a), "B": set(pair.b)}
     marked = pair.marked
-    live = list(g.adj)
+    adj = g.adj
+    live = list(adj)
     for v in marked:
         live[v] = ()
-        for u in g.adj[v]:
+        for u in adj[v]:
             if u not in marked:  # a chosen neighbour's entry is emptied in turn
-                live[u] = tuple([x for x in g.adj[u] if x not in marked])
+                live[u] = tuple([x for x in adj[u] if x not in marked])
     additions: list[Addition] = []
     color = [-1] * g.n
     depth = [-1] * g.n

@@ -18,9 +18,9 @@ triangles or reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial
-from typing import Iterator
 
 from .graph import INF, Graph, bfs_distances, find_claw, is_cubic
 from .formats import parse_graph6, write_graph6
@@ -32,15 +32,15 @@ DEFAULT_VERTEX_CAP = 20
 
 def all_pairs_distances(g: Graph) -> list[list[float]]:
     """n x n matrix of hop distances (INF where unreachable)."""
-    dists = (bfs_distances(g, [s]) for s in range(g.n))
-    return [[d.get(v, INF) for v in range(g.n)] for d in dists]
+    vertices = range(g.n)
+    dists = (bfs_distances(g, [s]) for s in vertices)
+    return [[d.get(v, INF) for v in vertices] for d in dists]
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    status: str  # "yes" | "no" | "unknown"
-    coloring: Coloring | None = None
-    reason: str | None = None
+class OracleResult(namedtuple("OracleResult", "status coloring reason", defaults=(None, None))):
+    # status is "yes", "no" or "unknown"; a "yes" carries its coloring, an
+    # "unknown" its reason
+    __slots__ = ()
 
 
 def exists_spacking(g: Graph, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> OracleResult:
@@ -49,26 +49,28 @@ def exists_spacking(g: Graph, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) ->
     A "yes" always carries a coloring that verify_spacking accepts — the
     oracle re-verifies its own witness before returning it.
     """
-    if g.n > vertex_cap:
-        return OracleResult("unknown", reason=f"vertex cap exceeded (n={g.n} > {vertex_cap})")
-    if g.n == 0:
+    n, adj = g.n, g.adj
+    if n > vertex_cap:
+        return OracleResult("unknown", reason=f"vertex cap exceeded (n={n} > {vertex_cap})")
+    if n == 0:
         return OracleResult("yes", [])
     dist = all_pairs_distances(g)
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    values = s.values
     r = s.r
     # twin[i]: class i - 1 has the same radius, so it must be in use before
     # class i may be opened
-    twin = [i > 0 and s.values[i - 1] == s.values[i] for i in range(r)]
-    assigned: list[int] = [0] * g.n  # class per vertex, 0 = unassigned
+    twin = [i > 0 and values[i - 1] == values[i] for i in range(r)]
+    assigned: list[int] = [0] * n  # class per vertex, 0 = unassigned
     members: list[list[int]] = [[] for _ in range(r)]
 
     def admissible(v: int, i: int) -> bool:
-        limit = s.values[i]
+        limit = values[i]
         dv = dist[v]
         return all(dv[u] > limit for u in members[i])
 
     def backtrack(depth: int) -> bool:
-        if depth == g.n:
+        if depth == n:
             return True
         v = order[depth]
         for i in range(r):

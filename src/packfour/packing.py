@@ -11,7 +11,7 @@ members of classes whose radius is 3 or more; (1,1,2,2) needs no ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ClassOutOfRange, EmptySpec, NotNonDecreasing, NotPositive
 from .graph import Graph, bfs_distances
@@ -20,18 +20,20 @@ from .graph import Graph, bfs_distances
 Coloring = list[int]
 
 
-@dataclass(frozen=True)
-class SSpec:
-    values: tuple[int, ...]
+class SSpec(namedtuple("SSpec", "values")):
+    """A packing spec: values is a non-empty, non-decreasing tuple of
+    positive ints, which SSpec(values) checks."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) == 0:
+    def __new__(cls, values: tuple[int, ...]):
+        if len(values) == 0:
             raise EmptySpec()
-        for a in self.values:
+        for a in values:
             if not isinstance(a, int) or a < 1:
                 raise NotPositive(str(a))
-        if any(x > y for x, y in zip(self.values, self.values[1:])):
-            raise NotNonDecreasing(self.values)
+        if any(x > y for x, y in zip(values, values[1:])):
+            raise NotNonDecreasing(values)
+        return super().__new__(cls, values)
 
     @property
     def r(self) -> int:
@@ -50,12 +52,8 @@ def parse_sspec(text: str) -> SSpec:
     return SSpec(tuple(values))
 
 
-@dataclass(frozen=True)
-class Violation:
-    u: int
-    v: int
-    class_index: int
-    dist: float
+class Violation(namedtuple("Violation", "u v class_index dist")):
+    __slots__ = ()
 
     def __str__(self):
         return (f"vertices {self.u} and {self.v} share class {self.class_index} "

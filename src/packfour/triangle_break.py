@@ -27,9 +27,10 @@ vertices only: the sides, the chosen count on each triangle, the weight and
 the survivor count.  The first surviving triangle comes off a min-heap of
 triangle indices with lazy deletion; a removal can revive a triangle, so its
 index goes back on the heap.  A PackingPair is built only where the pair
-leaves the search, and the step records, Move and AppliedMove, are named
-tuples: every step builds two, and a tuple is built without a frozen
-dataclass's per-field setattr.
+leaves the search.  Every step builds two records, Move and AppliedMove;
+like every record in the package they are named tuples, cheap to build, but
+each field read is a descriptor call, so a hot loop reads a record's fields
+once, outside it, or unpacks the record.
 
 Moves around a triangle are generated lazily in canonical order
 (Move.sort_key: additions, then removals), and a step takes the first:
@@ -47,9 +48,9 @@ neighbourhood is a K4 component, so the index finds these components.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import combinations
-from typing import Iterator, NamedTuple
 
 from .errors import Stuck
 from .graph import Graph, Triangle, list_triangles, require_cubic
@@ -62,23 +63,19 @@ LIGHT = 1  # weight of a vertex in exactly one triangle
 _UNSETTLED = object()  # an item whose forced removals no step has asked for yet
 
 
-@dataclass(frozen=True)
-class PackingPair:
-    a: frozenset[int]
-    b: frozenset[int]
-    weight: int
-    surviving: int  # triangles with no vertex in a u b
+class PackingPair(namedtuple("PackingPair", "a b weight surviving")):
+    # a and b are frozensets; surviving counts the triangles with no vertex
+    # in a u b
+    __slots__ = ()
 
     @property
     def marked(self) -> frozenset[int]:
         return self.a | self.b
 
 
-class Move(NamedTuple):
-    add_a: tuple[int, ...] = ()
-    add_b: tuple[int, ...] = ()
-    remove_a: int | None = None
-    remove_b: int | None = None
+class Move(namedtuple("Move", "add_a add_b remove_a remove_b", defaults=((), (), None, None))):
+    # add_a and add_b are tuples of vertices; a removal is a vertex or None
+    __slots__ = ()
 
     def sort_key(self):
         adds = sorted([(v, SIDE_A) for v in self.add_a] + [(v, SIDE_B) for v in self.add_b])
@@ -87,11 +84,8 @@ class Move(NamedTuple):
         return (adds, rems)
 
 
-class AppliedMove(NamedTuple):
-    move: Move
-    weight_before: int
-    weight_after: int
-    surviving_after: int
+class AppliedMove(namedtuple("AppliedMove", "move weight_before weight_after surviving_after")):
+    __slots__ = ()
 
 
 class _Search:
@@ -100,7 +94,7 @@ class _Search:
 
     def __init__(self, g: Graph, a=(), b=()):
         require_cubic(g)
-        self.g = g
+        self.adj = adj = g.adj
         self.triangles: list[Triangle] = list_triangles(g)
         self.tri_by_vertex: list[list[int]] = [[] for _ in range(g.n)]
         # the vertices of the triangles through each triangle vertex, itself
@@ -120,7 +114,6 @@ class _Search:
         # vertex (v is among its neighbours' neighbours), built only within
         # distance 1 of a triangle, the vertices near, _forced and the
         # additions read; None elsewhere
-        adj = g.adj
         self.ball2: list[set[int] | None] = [
             set(a + adj[a[0]] + adj[a[1]] + adj[a[2]])
             if x or w[a[0]] or w[a[1]] or w[a[2]] else None for x, a in zip(w, adj)]
@@ -139,7 +132,8 @@ class _Search:
     def play(self, move: Move) -> None:
         """Apply a valid move in place, removals first so a vertex can switch
         sides; only the triangles of the moved vertices are touched."""
-        for side, r in ((SIDE_A, move.remove_a), (SIDE_B, move.remove_b)):
+        add_a, add_b, remove_a, remove_b = move
+        for side, r in ((SIDE_A, remove_a), (SIDE_B, remove_b)):
             if r is not None:
                 self.sides[side].remove(r)
                 self.weight -= self.wvec[r]
@@ -148,7 +142,7 @@ class _Search:
                     if self.hits[ti] == 0:
                         self.surviving += 1
                         heapq.heappush(self.survivors, ti)  # revived
-        for side, adds in ((SIDE_A, move.add_a), (SIDE_B, move.add_b)):
+        for side, adds in ((SIDE_A, add_a), (SIDE_B, add_b)):
             for v in adds:
                 self.sides[side].add(v)
                 self.weight += self.wvec[v]
@@ -173,7 +167,7 @@ class _Search:
         and ball2(o) holds ball2(x) but for the other two vertices off t,
         whose balls are read too; in a K4 or a diamond some of the three are
         one vertex."""
-        adj = self.g.adj
+        adj = self.adj
         return set().union(*[self.ball2[o] for o in adj[t[0]] + adj[t[1]] + adj[t[2]]
                              if o not in t])
 
@@ -328,9 +322,9 @@ def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
         search.play(move)
         trace.append(AppliedMove(move, before, search.weight, search.surviving))
 
-    for v in range(g.n):
-        if len(search.tri_by_vertex[v]) == 3 and v < g.adj[v][0]:
-            step(Move(add_a=(v,), add_b=(g.adj[v][0],)))  # smallest two of a K4 component
+    for v, a in enumerate(g.adj):
+        if len(search.tri_by_vertex[v]) == 3 and v < a[0]:
+            step(Move(add_a=(v,), add_b=(a[0],)))  # smallest two of a K4 component
     while search.surviving > 0:
         t = search.first_surviving()
         move = next(search.improving_moves(t), None)

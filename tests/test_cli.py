@@ -460,3 +460,35 @@ def test_experiment_problem1(capsys):
     payload = json.loads(lines[-1])
     assert payload["candidates"] == []
     assert payload["results"][0]["verdict"] == "yes"
+
+
+# ----------------------------------------------------------------- import
+
+# standard-library and package modules that color and verify never need
+NOT_LOADED_BY_IMPORT = ("dataclasses", "inspect", "typing", "packfour.generators", "random")
+
+
+def run_bare(code: str) -> str:
+    """Run code in a fresh `python -S`, no site packages, with packfour's
+    sources first on sys.path; return its stdout."""
+    src = str(Path(packfour.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", f"import sys\nsys.path.insert(0, {src!r})\n"
+                           + code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_only_what_color_and_verify_need():
+    out = run_bare("import packfour.cli\n"
+                   f"print([m for m in {NOT_LOADED_BY_IMPORT!r} if m in sys.modules])")
+    assert out == "[]\n"
+
+
+def test_generators_load_on_first_use():
+    out = run_bare("import packfour\n"
+                   "print('packfour.generators' in sys.modules, packfour.generators.k4().n)\n"
+                   "from packfour import generators\n"
+                   "print(generators is packfour.generators)")
+    assert out == "False 4\nTrue\n"
+    assert run_bare("from packfour import generators\nprint(generators.prism().n)") == "6\n"
+    assert run_bare("from packfour import *\nprint(generators.k4().n)") == "4\n"

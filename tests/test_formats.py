@@ -30,7 +30,7 @@ from packfour.formats import (
 )
 from packfour.generators import (cycle, inflate, k4, petersen, prism, problem1_family,
                                  random_cubic)
-from packfour.graph import build_graph
+from packfour.graph import Graph, build_graph
 from packfour.odd_cycle import Addition, reduce_odd_cycles
 from packfour.packing import verify_spacking
 from packfour.pipeline import color_claw_free_cubic
@@ -85,6 +85,39 @@ def test_bad_char_position():
         assert e.value.position == position
 
 
+def _g6_outcome(line):
+    """The BadChar position parse_graph6 reports for line, or "not BadChar"."""
+    try:
+        parse_graph6(line)
+    except BadChar as e:
+        return e.position
+    except (LengthMismatch, UnsupportedHeader):
+        pass
+    return "not BadChar"
+
+
+@pytest.mark.parametrize("code", [62, 63, 126, 127])
+def test_graph6_byte_range_edges(code):
+    # 63 and 126 bound the valid bytes: 62 and 127 are bad wherever they
+    # stand, 63 and 126 never are (at the header they may still give a bad
+    # size or length); both header forms, first, middle and last positions
+    for enc in (write_graph6(petersen()), write_graph6(oracles.random_graph(100, 0.1, seed=3))):
+        for position in (0, len(enc) // 2, len(enc) - 1):
+            line = enc[:position] + chr(code) + enc[position + 1:]
+            want = position if code in (62, 127) else "not BadChar"
+            assert _g6_outcome(line) == want
+
+
+@pytest.mark.parametrize("ch", ["é", "€", "\U0001f600", "\x80"])
+def test_graph6_non_ascii(ch):
+    enc = write_graph6(petersen())
+    for position in (0, len(enc) // 2, len(enc) - 1):
+        assert _g6_outcome(enc[:position] + ch + enc[position + 1:]) == position
+    # the first bad character is named, ASCII or not
+    assert _g6_outcome(enc[:2] + ch + enc[3:5] + chr(127) + enc[6:]) == 2
+    assert _g6_outcome(enc[:2] + chr(62) + enc[3:5] + ch + enc[6:]) == 2
+
+
 def test_length_mismatch():
     with pytest.raises(LengthMismatch) as e:
         parse_graph6("C")
@@ -115,8 +148,8 @@ def test_extended_header():
 
 
 def test_too_large():
-    g = build_graph(5, [])
-    object.__setattr__(g, "n", MAX_GRAPH6_N + 1)
+    # write_graph6 checks n before it reads an adjacency tuple
+    g = Graph(MAX_GRAPH6_N + 1, ())
     with pytest.raises(TooLarge):
         write_graph6(g)
 

@@ -5,13 +5,14 @@ import functools
 import hashlib
 import itertools
 import json
+import pickle
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from packfour import triangle_break
-from packfour.errors import NotCubic, Stuck
+from packfour.errors import EmptySpec, NotCubic, NotNonDecreasing, NotPositive, Stuck
 from packfour.generators import (
     cycle,
     diamond_necklace,
@@ -23,6 +24,9 @@ from packfour.generators import (
     random_cubic,
 )
 from packfour.graph import bfs_distances, build_graph
+from packfour.odd_cycle import Addition, ReductionState
+from packfour.oracle import OracleResult
+from packfour.packing import SSpec, Violation
 from packfour.triangle_break import (
     HEAVY,
     LIGHT,
@@ -479,9 +483,11 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
         return removal_sets(self, *args)
 
     class CountedPair(PackingPair):
-        def __init__(self, *args, **kwargs):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
             counts["pairs"] += 1
-            super().__init__(*args, **kwargs)
+            return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(_Search, "_forced", counted_forced)
     monkeypatch.setattr(_Search, "_exchanges", counted_exchanges)
@@ -580,18 +586,56 @@ def test_applied_move_record_shape():
 
 
 def test_step_records_are_frozen_and_hash_by_their_fields():
+    # every record the package returns: the step records and the six others,
+    # each with its fields and the repr the frozen dataclasses they replaced
+    # wrote, pinned
     m = Move(add_a=(3,), add_b=(0,), remove_a=0)
     am = AppliedMove(m, 1, 2, 0)
-    for record, field in ((m, "add_a"), (m, "remove_b"), (am, "move"), (am, "weight_after")):
+    add = Addition(5, "A", 7)
+    records = [
+        (m, ((3,), (0,), 0, None), "Move(add_a=(3,), add_b=(0,), remove_a=0, remove_b=None)"),
+        (am, (m, 1, 2, 0), "AppliedMove(move=Move(add_a=(3,), add_b=(0,), remove_a=0, "
+                           "remove_b=None), weight_before=1, weight_after=2, surviving_after=0)"),
+        (build_graph(3, [(0, 1), (1, 2)]), (3, ((1,), (0, 2), (1,))),
+         "Graph(n=3, adj=((1,), (0, 2), (1,)))"),
+        (SSpec((1, 1, 2, 2)), ((1, 1, 2, 2),), "SSpec(values=(1, 1, 2, 2))"),
+        (Violation(0, 2, 3, 2), (0, 2, 3, 2), "Violation(u=0, v=2, class_index=3, dist=2)"),
+        (PackingPair(frozenset({3}), frozenset({0}), 2, 0), (frozenset({3}), frozenset({0}), 2, 0),
+         "PackingPair(a=frozenset({3}), b=frozenset({0}), weight=2, surviving=0)"),
+        (add, (5, "A", 7), "Addition(vertex=5, side='A', cycle_length=7)"),
+        (ReductionState(frozenset({0}), frozenset(), frozenset({1, 2}), (add,), (0, 1, 0)),
+         (frozenset({0}), frozenset(), frozenset({1, 2}), (add,), (0, 1, 0)),
+         "ReductionState(ext_a=frozenset({0}), ext_b=frozenset(), remaining=frozenset({1, 2}), "
+         "additions=(Addition(vertex=5, side='A', cycle_length=7),), color=(0, 1, 0))"),
+        (OracleResult("unknown", reason="cap"), ("unknown", None, "cap"),
+         "OracleResult(status='unknown', coloring=None, reason='cap')"),
+    ]
+    for record, fields, text in records:
+        cls = type(record)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
         with pytest.raises(AttributeError):
-            setattr(record, field, None)
-    # as the frozen dataclasses did: the hash of the tuple of the fields,
-    # equality by fields, and the same repr
-    assert hash(m) == hash(((3,), (0,), 0, None))
-    assert hash(am) == hash((m, 1, 2, 0))
-    assert {m, Move((3,), (0,), 0)} == {m} and Move() == Move((), (), None, None)
-    assert repr(am) == ("AppliedMove(move=Move(add_a=(3,), add_b=(0,), remove_a=0, "
-                        "remove_b=None), weight_before=1, weight_after=2, surviving_after=0)")
+            record.extra = None  # no instance dict
+        # the hash of the tuple of the fields, equality by fields, the same repr
+        assert hash(record) == hash(fields)
+        assert record == cls(*fields) == fields
+        assert {record, cls(*fields)} == {record}
+        assert repr(record) == text
+        # --jobs sends results between processes
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is cls and back == record
+    assert Move() == Move((), (), None, None)
+    assert OracleResult("no") == OracleResult("no", None, None)
+    assert m != Move((3,), (0,), None) and am != AppliedMove(m, 1, 2, 1)
+    assert str(Violation(0, 2, 3, 2)) == "vertices 0 and 2 share class 3 at distance 2"
+    # an SSpec is validated whenever it is built
+    for values, error in (((), EmptySpec), ((1, 0), NotPositive), ((1, "2"), NotPositive),
+                          ((2, 1), NotNonDecreasing)):
+        with pytest.raises(error):
+            SSpec(values)
+        with pytest.raises(error):
+            SSpec(values=values)
 
 
 @settings(max_examples=80, deadline=None)
