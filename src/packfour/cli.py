@@ -10,10 +10,18 @@ and every earlier one are done; with --jobs, a worker task colors a chunk of
 max(1, min(16, graphs // (4 * workers))) graphs, and a chunk's records are
 written once it and every earlier chunk are done.
 
+The batch runner, ordered_map, serves color, oracle and experiment problem2.
+The verdict records of oracle and problem2 are built here (decide_line, one
+per graph6 line, and batch_decide's summary) and read here, so their keys
+have one owner; oracle.py holds the exact search alone.  Every --seed
+defaults to 0.
+
 Exit codes for color: 0 all graphs colored, 2 parse error, 3 hypothesis
 violation (non-cubic or clawed without --force), 4 stuck.  verify: 0 valid,
-1 invalid or mismatched.  oracle: 0 once the command line itself parses.
-Any command whose stdout reader closes early exits 1 without a traceback.
+1 invalid, mismatched or unreadable.  oracle: 0 once the command line parses
+and the input reads.  A file that cannot be read or written otherwise ends
+color, oracle, gen and experiment with one line on stderr and exit 2.  Any
+command whose stdout reader closes early exits 1 without a traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import closing, nullcontext
 from functools import partial
 
@@ -30,11 +39,11 @@ from .errors import (
     NotClawFree,
     NotCubic,
     PackfourError,
-    ParseError,
     Stuck,
     StuckOddCycle,
 )
 from .formats import (
+    SPEC_1122,
     coloring_from_certificate,
     parse_edge_list,
     parse_graph6,
@@ -42,8 +51,8 @@ from .formats import (
     write_dot,
     write_graph6,
 )
-from .graph import Graph
-from .oracle import DEFAULT_VERTEX_CAP, batch_decide, exists_spacking, ordered_map
+from .graph import Graph, find_claw, is_cubic
+from .oracle import DEFAULT_VERTEX_CAP, exists_spacking
 from .packing import SSpec, parse_sspec, verify_spacking
 from .pipeline import color_claw_free_cubic
 
@@ -51,7 +60,9 @@ from .pipeline import color_claw_free_cubic
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte becomes a lone surrogate, so a bad graph6 line gets
+    # its parse record instead of stopping the batch
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return fh.read()
 
 
@@ -69,25 +80,43 @@ def _lines(text: str) -> list[str]:
 def _graph_items(text: str, fmt: str):
     """(parse, items): parse_graph6 and the non-blank lines, stripped, or
     parse_edge_list and the whole text as the one item.  fmt "auto" takes the
-    text for an edge list when its first non-blank line holds whitespace."""
+    text for an edge list when its first non-blank line holds whitespace or
+    starts a comment, since no graph6 line holds either."""
     lines = _lines(text)
     if fmt == "auto":
-        fmt = "edgelist" if lines and any(ch.isspace() for ch in lines[0]) else "graph6"
+        first = lines[0] if lines else ""
+        edges = first.startswith("#") or any(ch.isspace() for ch in first)
+        fmt = "edgelist" if edges else "graph6"
     if fmt == "edgelist":
         return parse_edge_list, [text]
     return parse_graph6, lines
 
 
-def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("PACKFOUR_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise BadParameter(f"PACKFOUR_SEED is not an integer: {env!r}") from None
+def ordered_map(fn, items: list, jobs: int) -> Iterator:
+    """fn(x) for x in items, lazily and in input order, spread over
+    min(jobs, len(items)) worker processes when that is 2 or more; a pool
+    may start all its workers at the first task, so none is asked for
+    beyond the items.  Each pool task takes a chunk of
+    max(1, min(16, len(items) // (4 * workers))) items, and its results
+    arrive together.  A consumer that stops early (or closes the iterator)
+    cancels the chunks not yet started."""
+    workers = min(jobs, len(items))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a task costs a round trip between processes, about as much as
+        # coloring one small graph; four tasks per worker or more keep the
+        # workers finishing close together, and 16 items at most keep a
+        # result from waiting on many others
+        chunk = max(1, min(16, len(items) // (4 * workers)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            try:
+                yield from pool.map(fn, items, chunksize=chunk)
+            finally:
+                pool.shutdown(cancel_futures=True)
+        return
+    for x in items:
+        yield fn(x)
 
 
 def _color_one(item: str, parse, force: bool) -> tuple[str, str]:
@@ -139,7 +168,7 @@ def cmd_verify(args) -> int:
     try:
         parse, items = _graph_items(_read_text(args.graph), args.format)
         graphs = [parse(item) for item in items]
-    except PackfourError as e:
+    except (PackfourError, OSError) as e:
         print(f"graph input: {e}", file=sys.stderr)
         return 1
     if len(graphs) != 1:
@@ -155,7 +184,7 @@ def cmd_verify(args) -> int:
             cg, s, coloring = coloring_from_certificate(cert)
             # adjacency tuples are sorted, so equal graphs compare equal
             matches = cg.adj == g.adj
-    except PackfourError as e:
+    except (PackfourError, OSError) as e:
         print(f"certificate: {e}", file=sys.stderr)
         return 1
     if not matches:
@@ -171,6 +200,54 @@ def cmd_verify(args) -> int:
         return 1
     print(f"ok: verified S={','.join(str(v) for v in s.values)} coloring of n={g.n} graph")
     return 0
+
+
+# a claw-free cubic "no" under (1,1,2,3) is exactly what the open problem
+# asks for; under (1,1,2,2) it would contradict the guarantee the pipeline
+# implements, so it can only mean a bug: flag both, loudly
+SPEC_1123 = SSpec((1, 1, 2, 3))
+_FLAGS = {SPEC_1123: "candidate-counterexample", SPEC_1122: "theorem-violation"}
+
+
+def decide_line(line: str, s: SSpec, vertex_cap: int) -> dict:
+    """Verdict record for one graph6 line; parse failures become error records."""
+    try:
+        g = parse_graph6(line)
+    except PackfourError as e:
+        return {"n": None, "verdict": "error", "detail": str(e)}
+    res = exists_spacking(g, s, vertex_cap)
+    record = {"n": g.n, "verdict": res.status}
+    if res.status == "yes":
+        record["detail"] = ",".join(str(c) for c in res.coloring)
+    else:
+        record["detail"] = res.reason or "search exhausted"
+    if res.status == "no" and s in _FLAGS and is_cubic(g) and find_claw(g) is None:
+        record["flag"] = _FLAGS[s]
+        record["echo"] = write_graph6(g)
+    return record
+
+
+def batch_decide(lines, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP,
+                 jobs: int = 1) -> tuple[list[dict], dict]:
+    """Decide every graph6 line; never aborts on a bad line.
+
+    Returns (records, summary).  Records keep input order even with jobs > 1.
+    """
+    records = list(ordered_map(partial(decide_line, s=s, vertex_cap=vertex_cap),
+                               list(lines), jobs))
+    for i, rec in enumerate(records):
+        rec["index"] = i
+    summary = {
+        "total": len(records),
+        "yes": sum(1 for r in records if r["verdict"] == "yes"),
+        "no": sum(1 for r in records if r["verdict"] == "no"),
+        "unknown": sum(1 for r in records if r["verdict"] == "unknown"),
+        "errors": sum(1 for r in records if r["verdict"] == "error"),
+        "s_spec": list(s.values),
+        "flagged": [{"index": r["index"], "flag": r["flag"], "graph6": r["echo"]}
+                    for r in records if "flag" in r],
+    }
+    return records, summary
 
 
 def _print_verdict_row(rec: dict) -> None:
@@ -204,7 +281,6 @@ def cmd_oracle(args) -> int:
 def _gen_graphs(args) -> list[Graph]:
     from .generators import diamond_necklace, inflate, named_graph, problem1_family, random_cubic
 
-    seed = _default_seed(args.seed)
     if args.family == "named":
         return [named_graph(args.name)]
     if args.family == "inflate":
@@ -217,10 +293,10 @@ def _gen_graphs(args) -> list[Graph]:
     if args.family == "necklace":
         return [diamond_necklace(args.k)]
     if args.family == "random-cubic":
-        return [random_cubic(args.n, seed + i, connected=args.connected)
+        return [random_cubic(args.n, args.seed + i, connected=args.connected)
                 for i in range(args.count)]
     if args.family == "problem1":
-        return [problem1_family(args.n, seed + i) for i in range(args.count)]
+        return [problem1_family(args.n, args.seed + i) for i in range(args.count)]
     raise BadParameter(f"unknown family {args.family!r}")
 
 
@@ -248,8 +324,7 @@ def _experiment_corpus(args) -> list[str]:
 def cmd_experiment(args) -> int:
     if args.which == "problem2":
         lines = _experiment_corpus(args)
-        s = SSpec((1, 1, 2, 3))
-        records, summary = batch_decide(lines, s, vertex_cap=args.cap, jobs=args.jobs)
+        records, summary = batch_decide(lines, SPEC_1123, vertex_cap=args.cap, jobs=args.jobs)
         for rec in records:
             _print_verdict_row(rec)
         for flagged in summary["flagged"]:
@@ -259,12 +334,14 @@ def cmd_experiment(args) -> int:
     # problem1: constructive family, pipeline first (forced), oracle fallback
     from .generators import problem1_family
 
-    seed = _default_seed(args.seed)
-    sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
+    try:
+        sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
+    except ValueError:
+        raise BadParameter(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
     results = []
     for size in sizes:
         try:
-            g = problem1_family(size, seed)
+            g = problem1_family(size, args.seed)
         except PackfourError as e:
             results.append({"base_n": size, "verdict": "error", "detail": str(e)})
             continue
@@ -275,7 +352,7 @@ def cmd_experiment(args) -> int:
             rec["method"] = "pipeline"
         except (Stuck, StuckOddCycle) as e:
             rec["pipeline"] = f"stuck: {e}"
-            res = exists_spacking(g, SSpec((1, 1, 2, 2)), vertex_cap=args.cap)
+            res = exists_spacking(g, SPEC_1122, vertex_cap=args.cap)
             rec["verdict"] = res.status
             rec["method"] = "oracle"
             if res.reason:
@@ -338,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("n", type=int)
     q.add_argument("--count", type=int, default=1)
     for q in gen_sub.choices.values():
-        q.add_argument("--seed", type=int, default=None)
+        q.add_argument("--seed", type=int, default=0)
         q.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -346,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["problem1", "problem2"])
     p.add_argument("--input", default=None, help="graph6 corpus file (problem2)")
     p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", default="4", help="comma-separated base sizes (problem1)")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_experiment)
@@ -359,15 +436,14 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it must come first
         # the reader closed stdout early (`| head`); send what is still buffered
         # to devnull so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
-    except PackfourError as e:
+    except (PackfourError, OSError) as e:
+        # a missing or unreadable input, or an output path that cannot be
+        # opened, is one line on stderr, never a traceback
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -6,14 +6,17 @@ then the upper triangle of the adjacency matrix in column-major order packed
 six bits per byte, zero-padded.  K4 is "C~"; the empty graph on 0 vertices
 is "?".
 
-The body is coded at C speed.  Its bytes 63..126 stand for 0..63 in the same
-order as the base64 alphabet, so one bytes.translate maps a body onto base64
-and back; base64 and a base-2 int then give the bit string.  Decoding walks
-the set bits with str.find, so the only Python loop runs per edge; bits past
-n(n-1)/2 are padding and ignored, whatever their value.  The adjacency lists
-are built straight from those bits, without build_graph: graph6 cannot
-express a self-loop, a duplicate edge or an endpoint outside 0..n-1, and the
-column-major bit order appends every neighbour in increasing order.
+The encoder sets each edge's bit in a bytearray of 6-bit values, one per
+body byte, and one bytes.translate adds 63 to them all; its only Python loop
+runs per edge.  The decoder works at C speed: body bytes 63..126 stand for
+0..63 in the same order as the base64 alphabet, so one bytes.translate maps
+a body onto base64, and base64 and a base-2 int then give the bit string.
+Decoding walks the set bits with str.find, so its only Python loop runs per
+edge too; bits past n(n-1)/2 are padding and ignored, whatever their value.
+The adjacency lists are built straight from those bits, without
+build_graph: graph6 cannot express a self-loop, a duplicate edge or an
+endpoint outside 0..n-1, and the column-major bit order appends every
+neighbour in increasing order.
 
 Certificates are written here and nowhere else.  write_certificate takes the
 step tuples the triangle breaker and the odd-cycle reducer return and writes
@@ -45,8 +48,10 @@ from .packing import Coloring, SSpec, verify_spacking
 
 MAX_GRAPH6_N = 258047
 
-# certificate class names for the fixed spec (1,1,2,2), keyed by class index
-CLASS_NAMES = {1: "1a", 2: "1b", 3: "2a", 4: "2b"}
+# class indices for the fixed spec (1,1,2,2), in SPEC_1122 entry order, and
+# their certificate names
+CLASS_1A, CLASS_1B, CLASS_2A, CLASS_2B = 1, 2, 3, 4
+CLASS_NAMES = {CLASS_1A: "1a", CLASS_1B: "1b", CLASS_2A: "2a", CLASS_2B: "2b"}
 _CLASS_INDEX = {name: idx for idx, name in CLASS_NAMES.items()}
 SPEC_1122 = SSpec((1, 1, 2, 2))
 
@@ -54,7 +59,7 @@ _G6_CHARS = bytes(range(63, 127))
 _BAD_G6 = re.compile("[^?-~]")
 _B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6_TO_B64 = bytes.maketrans(_G6_CHARS, _B64_ALPHABET)
-_B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_CHARS)
+_ADD_63 = bytes.maketrans(bytes(range(64)), _G6_CHARS)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -109,21 +114,16 @@ def write_graph6(g: Graph) -> str:
         header = bytes([n + 63])
     else:
         header = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    nchars = (n * (n - 1) // 2 + 5) // 6
-    groups = (nchars + 3) // 4
-    if groups == 0:
-        return header.decode("ascii")
-    bits = bytearray(b"0") * (24 * groups)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)  # six bits a byte, high bit first
     adj = g.adj
     for v in range(1, n):
         col = v * (v - 1) // 2
         for u in adj[v]:
             if u >= v:
                 break
-            bits[col + u] = 49  # ord("1")
-    raw = int(bits, 2).to_bytes(3 * groups, "big")
-    body = base64.b64encode(raw)[:nchars].translate(_B64_TO_G6)
-    return (header + body).decode("ascii")
+            k = col + u
+            body[k // 6] |= 32 >> k % 6
+    return (header + body.translate(_ADD_63)).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

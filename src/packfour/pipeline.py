@@ -13,14 +13,11 @@ wrong answer.
 from __future__ import annotations
 
 from .errors import NotClawFree
-from .formats import write_certificate
+from .formats import CLASS_1A, CLASS_2A, CLASS_2B, write_certificate
 from .graph import Graph, find_claw, require_cubic
 from .odd_cycle import reduce_odd_cycles
 from .packing import Coloring
 from .triangle_break import break_triangles
-
-# class indices: 1a=1, 1b=2, 2a=3, 2b=4 (matching SPEC_1122 entry order)
-CLASS_1A, CLASS_1B, CLASS_2A, CLASS_2B = 1, 2, 3, 4
 
 
 def color_claw_free_cubic(g: Graph, force: bool = False) -> tuple[Coloring, str]:

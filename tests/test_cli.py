@@ -12,11 +12,11 @@ import pytest
 
 import packfour
 from packfour import cli, formats
-from packfour.cli import main
+from packfour.cli import main, ordered_map
 from packfour.formats import parse_graph6, write_graph6
 from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubic
 from packfour.packing import SSpec
-from packfour.oracle import exists_spacking, ordered_map
+from packfour.oracle import exists_spacking
 
 
 def run(capsys, *argv):
@@ -50,6 +50,12 @@ def test_color_edgelist(tmp_path, capsys):
     code, out, err = run(capsys, "color", inp)
     assert code == 0
     assert json.loads(out)["classes"]["2b"] == [0]
+    # no graph6 line holds '#', so a first line that starts a comment marks
+    # an edge list, whitespace or not
+    for head in ("#k4", "# k4"):
+        inp = write(tmp_path, "k4.txt", f"\n{head}\n4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        code, out, err = run(capsys, "color", inp)
+        assert (code, err, json.loads(out)["n"]) == (0, "", 4)
 
 
 def test_color_parse_error_exit_2(tmp_path, capsys):
@@ -82,6 +88,43 @@ def test_color_edgelist_parse_error_record(tmp_path, capsys, text, pin, to_file)
     record = json.loads(out)
     assert record == {"index": 0, "error": "parse", "detail": record["detail"]}
     assert record["detail"] and err == f"graph 0: parse: {record['detail']}\n"
+
+
+def test_color_graph6_undecodable_byte_is_a_parse_record(tmp_path, capsys):
+    # a byte that is not UTF-8 reads as it does on stdin: the line gets its
+    # parse record and the good line before it is still colored
+    path = tmp_path / "ff.g6"
+    path.write_bytes(b"C~\nC\xff\n")
+    code, out, err = run(capsys, "color", str(path))
+    assert code == 2
+    lines = out.splitlines()
+    assert json.loads(lines[0])["verified"] is True
+    assert json.loads(lines[1]) == {"index": 1, "error": "parse",
+                                    "detail": "bad graph6 character at position 1"}
+    code, out, _ = run(capsys, "oracle", str(path), "--s", "1,1,2,2")
+    assert code == 0
+    assert out.splitlines()[1] == "1\t-\terror\tbad graph6 character at position 1"
+
+
+@pytest.mark.parametrize("argv,code,pin", [
+    (["color", "{missing}"], 2, "No such file"),
+    (["color", "{good}", "--out", "{missing}/certs.jsonl"], 2, "No such file"),
+    (["verify", "{missing}", "{good}"], 1, "graph input: "),
+    (["verify", "{good}", "{missing}"], 1, "certificate: "),
+    (["oracle", "{missing}", "--s", "1,1,2,2"], 2, "No such file"),
+    (["experiment", "problem2", "--input", "{missing}"], 2, "No such file"),
+    (["gen", "inflate", "--base", "{dir}"], 2, "directory"),
+    (["experiment", "problem1", "--sizes", "x"], 2, "--sizes"),
+], ids=["color-input", "color-out", "verify-graph", "verify-certificate", "oracle-input",
+        "problem2-input", "gen-inflate-dir", "problem1-sizes"])
+def test_bad_cli_input_is_one_line(tmp_path, capsys, argv, code, pin):
+    # a path that cannot be read or written, or a malformed option value,
+    # ends the command with one line on stderr and its documented exit code
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path),
+             "good": write(tmp_path, "k4.g6", "C~\n")}
+    got, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and pin in err
 
 
 def test_color_hypothesis_exit_3(tmp_path, capsys):
@@ -406,13 +449,15 @@ def test_gen_random_cubic(tmp_path, capsys):
 
 
 def test_gen_seed_env(tmp_path, capsys, monkeypatch):
-    _, explicit, _ = run(capsys, "gen", "random-cubic", "12", "--seed", "41")
-    monkeypatch.setenv("PACKFOUR_SEED", "41")
-    _, from_env, _ = run(capsys, "gen", "random-cubic", "12")
-    assert from_env == explicit
-    monkeypatch.setenv("PACKFOUR_SEED", "not-a-number")
-    code, _, err = run(capsys, "gen", "random-cubic", "12")
-    assert code == 2 and "PACKFOUR_SEED" in err
+    # no --seed is --seed 0, and the environment plays no part
+    monkeypatch.delenv("PACKFOUR_SEED", raising=False)
+    _, seed_0, _ = run(capsys, "gen", "random-cubic", "12", "--seed", "0")
+    _, seed_41, _ = run(capsys, "gen", "random-cubic", "12", "--seed", "41")
+    assert seed_0 != seed_41
+    for env in (None, "41", "not-a-number"):
+        if env is not None:
+            monkeypatch.setenv("PACKFOUR_SEED", env)
+        assert run(capsys, "gen", "random-cubic", "12") == (0, seed_0, "")
 
 
 def test_gen_inflate_from_name_and_file(tmp_path, capsys):

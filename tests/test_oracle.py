@@ -3,15 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import packfour.oracle as oracle_mod
+from packfour import cli
+from packfour.cli import batch_decide, decide_line
 from packfour.formats import write_graph6
 from packfour.generators import cycle, diamond_necklace, inflate, k4, k33, petersen, prism
 from packfour.oracle import (
     DEFAULT_VERTEX_CAP,
     OracleResult,
     all_pairs_distances,
-    batch_decide,
-    decide_line,
     exists_spacking,
 )
 from packfour.packing import SSpec, verify_spacking
@@ -131,7 +130,7 @@ def test_decide_line_no_without_flag():
 def test_decide_line_flags_are_wired(monkeypatch):
     # no genuine claw-free cubic "no" is known for either spec (that is the
     # point of the whole exercise), so force the verdict to pin the detector
-    monkeypatch.setattr(oracle_mod, "exists_spacking",
+    monkeypatch.setattr(cli, "exists_spacking",
                         lambda g, s, cap: OracleResult("no"))
     rec = decide_line("C~", S1123, DEFAULT_VERTEX_CAP)
     assert rec["flag"] == "candidate-counterexample"
