@@ -6,9 +6,10 @@ inflate sniff the format from the first line (--format pins it for color and
 verify); oracle and experiment problem2 read graph6 only.  All runs are
 deterministic for fixed inputs, flags and seeds; batch output order always
 matches input order, --jobs or not.  color writes each record as soon as it
-and every earlier one are done; with --jobs, a worker task colors a chunk of
-max(1, min(16, graphs // (4 * workers))) graphs, and a chunk's records are
-written once it and every earlier chunk are done.
+and every earlier one are done; with --jobs, forked workers color chunks of
+max(1, min(16, graphs // (4 * workers))) graphs, dealt round robin, and a
+chunk's records are written once it and every earlier chunk are done.
+Where os has no fork, --jobs runs serially.
 
 The batch runner, ordered_map, serves color, oracle and experiment problem2.
 The verdict records of oracle and problem2 are built here (decide_line, one
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 from collections.abc import Iterator
@@ -94,29 +96,101 @@ def _graph_items(text: str, fmt: str):
 
 def ordered_map(fn, items: list, jobs: int) -> Iterator:
     """fn(x) for x in items, lazily and in input order, spread over
-    min(jobs, len(items)) worker processes when that is 2 or more; a pool
-    may start all its workers at the first task, so none is asked for
-    beyond the items.  Each pool task takes a chunk of
-    max(1, min(16, len(items) // (4 * workers))) items, and its results
-    arrive together.  A consumer that stops early (or closes the iterator)
-    cancels the chunks not yet started."""
-    workers = min(jobs, len(items))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    min(jobs, len(items)) forked worker processes when that is 2 or more
+    and os has fork; serially otherwise.
 
-        # a task costs a round trip between processes, about as much as
-        # coloring one small graph; four tasks per worker or more keep the
-        # workers finishing close together, and 16 items at most keep a
-        # result from waiting on many others
-        chunk = max(1, min(16, len(items) // (4 * workers)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                yield from pool.map(fn, items, chunksize=chunk)
-            finally:
-                pool.shutdown(cancel_futures=True)
+    The items are cut into chunks of max(1, min(16, len(items) // (4 *
+    workers))), dealt round robin: worker k maps chunks k, k + workers, ...
+    and writes each chunk's results to its own pipe as one frame (see
+    _work), so fn's results must be marshal-able.  The parent reads the
+    frames in chunk order, so a chunk's results arrive together, once it and
+    every earlier chunk are done.  If fn raises in a worker, the results
+    before it arrive and then the same exception is raised here, as in a
+    serial run.  A consumer that stops early (or closes the iterator) kills
+    the workers; every worker is reaped before this returns.  fork is
+    unsafe in a process that runs threads; packfour starts none."""
+    workers = min(jobs, len(items)) if hasattr(os, "fork") else 1
+    if workers < 2:
+        for x in items:
+            yield fn(x)
         return
-    for x in items:
-        yield fn(x)
+    # a chunk costs a frame through a pipe; four chunks per worker or more
+    # keep the workers finishing close together, and 16 items at most keep
+    # a result from waiting on many others
+    chunk = max(1, min(16, len(items) // (4 * workers)))
+    chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
+    pipes, pids, done = [], [], False
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, chunks[k::workers], w, pipes)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        for i in range(len(chunks)):
+            results, error = _read_frame(pipes[i % workers])
+            yield from results
+            if error is not None:
+                import pickle
+
+                raise pickle.loads(error)
+        done = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if not done:
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _work(fn, chunks: list, w: int, pipes: list) -> None:
+    """A forked worker's whole life; it ends in os._exit, so it never
+    returns or raises into the caller.  It closes the parent's read ends,
+    then writes one frame per chunk to the pipe end w: an 8-byte
+    little-endian length, then marshal.dumps((results, error)).  error is
+    None, or the pickled exception fn raised after those results, in the
+    worker's last frame."""
+    code = 1
+    try:
+        for pipe in pipes:
+            os.close(pipe.fileno())
+        out = open(w, "wb")
+        for part in chunks:
+            results, error = [], None
+            try:
+                for x in part:
+                    results.append(fn(x))
+            except BaseException as e:
+                import pickle
+
+                error = pickle.dumps(e)
+            frame = marshal.dumps((results, error))
+            out.write(len(frame).to_bytes(8, "little"))
+            out.write(frame)
+            out.flush()
+            if error is not None:
+                break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_frame(pipe) -> tuple[list, bytes | None]:
+    """(results, error) from the next frame on a worker's pipe."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    body = pipe.read(size)
+    if len(head) < 8 or len(body) < size:
+        raise ChildProcessError("a worker process ended before sending its results")
+    return marshal.loads(body)
 
 
 def _color_one(item: str, parse, force: bool) -> tuple[str, str]:

@@ -11,6 +11,16 @@ from __future__ import annotations
 class PackfourError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # a subclass's __init__ takes the payload, not the formatted message
+        # args holds, so a pickled copy (a --jobs worker's error) is rebuilt
+        # without it: type and args first, then the attributes
+        return _rebuild, (type(self), self.args), vars(self)
+
+
+def _rebuild(cls, args):
+    return Exception.__new__(cls, *args)
+
 
 # ---------------------------------------------------------------- graph build
 

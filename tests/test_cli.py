@@ -1,18 +1,21 @@
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import packfour
-from packfour import cli, formats
-from packfour.cli import main, ordered_map
+from packfour import cli, errors, formats
+from packfour.cli import main
 from packfour.formats import parse_graph6, write_graph6
 from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubic
 from packfour.packing import SSpec
@@ -153,45 +156,55 @@ def test_color_out_file_and_determinism(tmp_path, capsys):
     assert len(a.splitlines()) == 2
 
 
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_color_jobs_matches_serial(tmp_path, capsys):
     inp = write(tmp_path, "in.g6",
                 "\n".join(write_graph6(g) for g in (k4(), prism(), k4(), prism())) + "\n")
     _, serial, _ = run(capsys, "color", inp)
     _, parallel, _ = run(capsys, "color", inp, "--jobs", "3")
     assert serial == parallel
+    assert_no_worker_left()
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    # a stand-in for the process pool that maps in this process and records
-    # each pool's workers, the chunk size of its map, and its shutdown
+    # the real fork pool, watched: each batch's forked workers, the length
+    # of each chunk as the parent decodes it, and each worker's wait status.
+    # A batch forks all its workers before it decodes a chunk, so a fork
+    # after a decoded chunk starts the next batch
     made = []
+    fork, read_frame, waitpid = os.fork, cli._read_frame, os.waitpid
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.workers, self.chunk, self.cancelled = max_workers, None, None
-            made.append(self)
+    def watched_fork():
+        if not made or made[-1].chunks:
+            made.append(SimpleNamespace(workers=0, chunks=[], statuses=[]))
+        made[-1].workers += 1
+        return fork()
 
-        def __enter__(self):
-            return self
+    def watched_read_frame(pipe):
+        results, error = read_frame(pipe)
+        made[-1].chunks.append(len(results))
+        return results, error
 
-        def __exit__(self, *exc):
-            return False
+    def watched_waitpid(pid, options):
+        got = waitpid(pid, options)
+        if pid > 0:
+            made[-1].statuses.append(got[1])
+        return got
 
-        def map(self, fn, items, chunksize=1):
-            self.chunk = chunksize
-            return map(fn, items)
-
-        def shutdown(self, cancel_futures=False):
-            self.cancelled = cancel_futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", watched_fork)
+    monkeypatch.setattr(cli, "_read_frame", watched_read_frame)
+    monkeypatch.setattr(os, "waitpid", watched_waitpid)
     return made
 
 
 def test_jobs_asks_for_no_more_workers_than_items(tmp_path, capsys, pools):
-    # a process pool may start every worker at its first task, so --jobs 64
-    # on a batch of two asks for two
+    # every worker is forked before the first chunk, so --jobs 64 on a
+    # batch of two forks two
     two = write(tmp_path, "two.g6", f"{write_graph6(prism())}\n{write_graph6(k4())}\n")
     code, out, _ = run(capsys, "color", two, "--jobs", "64")
     assert code == 0 and len(out.splitlines()) == 2
@@ -200,6 +213,7 @@ def test_jobs_asks_for_no_more_workers_than_items(tmp_path, capsys, pools):
     assert run(capsys, "experiment", "problem2", "--jobs", "64")[0] == 0  # 5 graphs
     assert run(capsys, "color", two, "--jobs", "2")[0] == 0
     assert [p.workers for p in pools] == [2, 3, 5, 2]
+    assert_no_worker_left()
 
 
 def test_jobs_chunk_size_follows_items_and_workers(tmp_path, capsys, pools):
@@ -218,16 +232,94 @@ def test_jobs_chunk_size_follows_items_and_workers(tmp_path, capsys, pools):
         serial = run(capsys, *argv)
         pools.clear()
         assert run(capsys, *argv, "--jobs", str(jobs)) == serial
-        assert [(p.workers, p.chunk) for p in pools] == [(jobs, chunk)], (command, count)
+        assert [(p.workers, p.chunks[0]) for p in pools] == [(jobs, chunk)], (command, count)
+        # every chunk is full but the last, and every worker ends on its own
+        (p,) = pools
+        assert p.chunks[:-1] == [chunk] * (len(p.chunks) - 1) and sum(p.chunks) == count
+        assert p.statuses == [0] * jobs
+        assert_no_worker_left()
 
 
 def test_jobs_early_close_cancels_the_rest(pools):
-    # a consumer that closes the result iterator shuts the pool down with
-    # the chunks not yet started cancelled
-    results = ordered_map(str, list(range(100)), 2)
+    # a consumer that closes the result iterator after the first chunk
+    # kills the workers, each asleep on its first item after chunk 0 (12 in
+    # chunk 1, 24 in chunk 2), so neither reaches its last chunk; every
+    # worker is reaped before close returns
+    def slow_after_first_chunk(x):
+        if x in (12, 24):
+            time.sleep(60)
+        return str(x)
+
+    start = time.monotonic()
+    results = cli.ordered_map(slow_after_first_chunk, list(range(100)), 2)
     assert next(results) == "0"
     results.close()
-    assert [(p.workers, p.chunk, p.cancelled) for p in pools] == [(2, 12, True)]
+    assert time.monotonic() - start < 30
+    assert [(p.workers, p.chunks) for p in pools] == [(2, [12])]
+    assert [os.WTERMSIG(s) for s in pools[0].statuses] == [signal.SIGKILL] * 2
+    assert_no_worker_left()
+
+
+def test_jobs_without_fork_runs_serially(tmp_path, capsys, monkeypatch):
+    inp = write(tmp_path, "in.g6", "".join(write_graph6(g) + "\n" for g in [k4(), prism()] * 20))
+    serial = run(capsys, "color", inp)
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, "color", inp, "--jobs", "2") == serial
+    assert_no_worker_left()
+
+
+def test_jobs_worker_error_ends_the_batch_as_serially(tmp_path, capsys, monkeypatch):
+    # a package error that escapes a worker reaches main with its type and
+    # message, after the records before it: the third graph of a chunk of
+    # three refuses, so its chunk's frame carries two results and the error
+    graphs = [k4(), prism(), inflate(k4())] + [k4(), prism()] * 11
+    inp = write(tmp_path, "in.g6", "".join(write_graph6(g) + "\n" for g in graphs))
+    color = cli.color_claw_free_cubic
+
+    def refuse_the_inflated_k4(g, force=False):
+        if g.n == 12:
+            raise errors.RefusesUnverified("vertices 0 and 1 share class 1")
+        return color(g, force=force)
+
+    # patched before the fork, so the workers run it too
+    monkeypatch.setattr(cli, "color_claw_free_cubic", refuse_the_inflated_k4)
+    serial = run(capsys, "color", inp)
+    assert serial[0] == 2 and len(serial[1].splitlines()) == 2
+    assert serial[2] == "error: refusing to write certificate: vertices 0 and 1 share class 1\n"
+    assert run(capsys, "color", inp, "--jobs", "2") == serial
+    assert_no_worker_left()
+
+
+def test_jobs_worker_ending_without_its_frame_is_an_error():
+    # a result marshal cannot encode ends the worker before it writes its
+    # frame; the parent reports that, where serially the object arrives
+    results = cli.ordered_map(lambda x: object(), [1, 2, 3], 2)
+    with pytest.raises(ChildProcessError, match="ended before sending its results"):
+        next(results)
+    assert_no_worker_left()
+
+
+# one instance of every package error, the payload of each attribute set
+ERROR_SAMPLES = [
+    errors.PackfourError("base"), errors.SelfLoop(3), errors.DuplicateEdge(1, 2),
+    errors.VertexOutOfRange(5, 4), errors.BadChar(2), errors.LengthMismatch(3, 2),
+    errors.UnsupportedHeader(), errors.TooLarge(300000), errors.ParseError(2, "x y"),
+    errors.RefusesUnverified("vertices 0 and 1 share class 1"), errors.EmptySpec(),
+    errors.NotPositive("x"), errors.NotNonDecreasing((2, 1)), errors.ClassOutOfRange(0, 5, 4),
+    errors.NotCubic(0, 2), errors.NotClawFree((0, (1, 2, 3))), errors.Stuck((0, 1), (1, 2, 3)),
+    errors.StuckOddCycle(None, [0, 1, 2], (3, (4, 5, 6))), errors.UnknownName("x"),
+    errors.BadParameter("x"), errors.RetryLimit(10, 5),
+]
+
+
+def test_package_errors_survive_pickling():
+    # a --jobs worker sends its error to the parent pickled
+    defined = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.PackfourError)}
+    assert {type(e) for e in ERROR_SAMPLES} == defined
+    for e in ERROR_SAMPLES:
+        copy = pickle.loads(pickle.dumps(e))
+        assert (type(copy), str(copy), vars(copy)) == (type(e), str(e), vars(e))
 
 
 def test_color_dot_output(tmp_path, capsys):
@@ -523,10 +615,21 @@ def run_bare(code: str) -> str:
     return proc.stdout
 
 
-def test_import_loads_only_what_color_and_verify_need():
+# what the --jobs pool's workers never needed the parent to load
+NOT_LOADED_BY_JOBS = ("concurrent.futures", "multiprocessing", "pickle", "threading")
+
+
+def test_import_loads_only_what_color_and_verify_need(tmp_path):
     out = run_bare("import packfour.cli\n"
                    f"print([m for m in {NOT_LOADED_BY_IMPORT!r} if m in sys.modules])")
     assert out == "[]\n"
+    # a --jobs batch forks its workers and reads their frames with marshal
+    inp = write(tmp_path, "in.g6", "".join(write_graph6(g) + "\n" for g in [k4(), prism()] * 4))
+    out = run_bare("from packfour.cli import main\n"
+                   f"code = main(['color', {inp!r}, '--jobs', '2', '--out', {os.devnull!r}])\n"
+                   f"print(code, [m for m in {NOT_LOADED_BY_IMPORT + NOT_LOADED_BY_JOBS!r}"
+                   " if m in sys.modules])")
+    assert out == "0 []\n"
 
 
 def test_generators_load_on_first_use():
