@@ -17,9 +17,11 @@ layers.  That source is the smallest vertex on any shortest odd cycle, since
 a shortest odd cycle is isometric: each of its vertices sees the cycle's
 opposite edge inside one layer.  Three searches find it without the scan:
 
-- color_components 2-colors the remainder by BFS.  Every odd cycle holds a
-  clash edge, one whose ends share a color, so the smaller ends of the clash
-  edges meet every odd cycle, and only they are searched.
+- lay_out gives every vertex its BFS depth from its component's smallest
+  vertex; the depth's parity is the vertex's color in the BFS 2-coloring.
+  Every odd cycle holds a clash edge, one whose ends share a color, which
+  in a BFS layering is one whose ends share a depth, so the smaller ends of
+  the clash edges meet every odd cycle, and only they are searched.
 - odd_girth_record runs a BFS from each, cut off at the shallowest
   edge-holding layer found so far, ties included; the least such depth h
   gives the odd girth 2h + 1.  A vertex on a shortest path from a source to
@@ -48,15 +50,30 @@ The loop keeps one record per non-bipartite component of the remainder,
 (h, least): the component's odd girth is 2h + 1 and least is the smallest
 vertex on its shortest odd cycles.  The records sit in a heap, and the
 witness source of the whole remainder is the least vertex of the least
-record, so a round pops that record.  An absorption changes only the
-absorbed vertex's component: its vertices are 2-colored again, in ascending
-order, so each piece it falls into is rooted at its smallest vertex, and
-each non-bipartite piece gets a new record.  The rest of the remainder is
-never touched again, so a run costs what its absorptions' components hold;
-one reducer run allocates the searches' depth and least-vertex lists once.
-When the heap is empty every component is bipartite, and the colors written
-so far are the remainder's BFS 2-coloring, each component rooted at its
-smallest vertex.
+record, so a round pops that record.  The witness starts at that vertex,
+so when it may join a side it is absorbed with no cycle built; witness_cycle
+runs only when it may join neither, and the scan goes on from the cycle's
+second vertex.
+
+An absorption changes only the absorbed vertex's component, and only the
+depths of the vertices whose every shortest path from the root ran through
+it.  Each record keeps its component's root, vertex set and clash edges,
+and cut_vertex deletes the absorbed vertex from them.  When that vertex is
+the root, the component is laid out again from scratch, each piece from its
+smallest vertex.  Otherwise relayer walks down from its children one layer
+at a time, collecting the vertices with no neighbour one layer up that
+keeps its depth; gives those new depths from their neighbours that kept
+theirs, nearest first; and edits the clash edges of those vertices alone.
+The depths are exact, since deleting a vertex never shortens a path: a
+vertex with a parent that keeps its depth keeps its own.  Any of the
+collected vertices left with no depth are cut off from the root, and each
+piece they form is laid out from its smallest vertex.  So the depths, the
+clash edges and the searches are those a fresh layout of the component
+would give, and each non-bipartite piece gets a new record.  The rest of
+the remainder is never touched again; one reducer run allocates the
+searches' depth and least-vertex lists once.  When the heap is empty every
+component is bipartite, and the parities of the depths are the remainder's
+BFS 2-coloring, each component rooted at its smallest vertex.
 
 The loop works on one live map from side to vertex set and one live
 adjacency on g's own vertex ids, with every chosen vertex isolated.  It
@@ -105,34 +122,126 @@ class ReductionState(namedtuple("ReductionState", "ext_a ext_b remaining additio
     __slots__ = ()
 
 
-def color_components(adj, roots, color: list[int]) -> list[tuple[list[int], list[int]]]:
-    """BFS 2-coloring of every uncolored component, written into color (-1 is
-    uncolored), each rooted at the first of roots it holds.
+def lay_out(adj, roots, dist: list[int]) -> list[tuple[int, set[int], set[tuple[int, int]]]]:
+    """BFS layering of every component not yet laid out, written into dist
+    (-1 is not laid out), each from the first of roots it holds.
 
-    A root gets color 0 and every other vertex the opposite color of its BFS
-    parent.  Returns, for each non-bipartite component in root order, its
-    vertices in BFS order and the smaller ends of its edges whose ends share
-    a color, unordered, one per edge.
+    dist[v] is v's depth below its component's root, so its parity is v's
+    color in the BFS 2-coloring, and the clash edges, the ones whose ends
+    share a color, are the edges whose ends share a depth.  Returns, for each
+    non-bipartite component in root order, (root, its vertices, its clash
+    edges as (smaller end, larger end)).
     """
     odd = []
     for root in roots:
-        if color[root] != -1:
+        if dist[root] >= 0:
             continue
-        color[root] = 0
+        dist[root] = 0
         comp = [root]
         clash = []
         for u in comp:  # grows while iterated: a BFS queue
-            cu = color[u]
+            du = dist[u]
             for v in adj[u]:
-                cv = color[v]
-                if cv == -1:
-                    color[v] = 1 - cu
+                dv = dist[v]
+                if dv < 0:
+                    dist[v] = du + 1
                     comp.append(v)
-                elif cv == cu and u < v:
-                    clash.append(u)
+                elif dv == du and u < v:
+                    clash.append((u, v))
         if clash:
-            odd.append((comp, clash))
+            odd.append((root, set(comp), set(clash)))
     return odd
+
+
+def relayer(adj, v: int, nbrs, dist: list[int], clash: set[tuple[int, int]]) -> list[int]:
+    """Repair a component's layering after v, not its root, left adj: nbrs
+    are v's former neighbours, dist and clash the component's depths and
+    clash edges before, both updated in place.
+
+    The vertices that lose their depth are those with no neighbour one layer
+    up that keeps its own, every shortest path from the root to them having
+    run through v; they are found layer by layer below v's children, and
+    only their edges leave or join clash.  Each gets its depth anew from its
+    neighbours that kept theirs, nearest first.  Returns, ascending, those
+    no longer reachable from the root, with dist -1; v gets depth 0, its
+    own root.
+    """
+    d = dist[v]
+    dist[v] = 0
+    layer = []
+    for y in nbrs:
+        dy = dist[y]
+        if dy == d:
+            clash.discard((v, y) if v < y else (y, v))
+        elif dy > d:
+            layer.append(y)
+    lost = []
+    while layer:
+        up = d
+        d += 1
+        below = set()
+        for w in layer:
+            a = adj[w]
+            for x in a:
+                if dist[x] == up:
+                    break
+            else:
+                lost.append(w)
+                dist[w] = -1
+                for y in a:
+                    dy = dist[y]
+                    if dy == d:
+                        clash.discard((w, y) if w < y else (y, w))
+                    elif dy > d:
+                        below.add(y)
+        layer = below
+    heap = []
+    for w in lost:
+        kept = [dist[x] for x in adj[w] if dist[x] >= 0]
+        if kept:
+            heap.append((min(kept) + 1, w))
+    heapq.heapify(heap)
+    while heap:
+        dw, w = heapq.heappop(heap)
+        if dist[w] >= 0:
+            continue
+        dist[w] = dw
+        for y in adj[w]:
+            dy = dist[y]
+            if dy < 0:
+                heapq.heappush(heap, (dw + 1, y))
+            elif dy == dw:
+                clash.add((w, y) if w < y else (y, w))
+    return sorted([w for w in lost if dist[w] < 0])
+
+
+def cut_vertex(adj, v: int, root: int, comp: set[int], dist: list[int],
+               clash: set[tuple[int, int]]) -> list[tuple[int, set[int], set[tuple[int, int]]]]:
+    """Delete v from adj, a list of tuples, and from its component, laid out
+    from root with vertex set comp and clash edges clash (see lay_out).
+
+    Returns the non-bipartite pieces of the component without v, as lay_out
+    does.  When v is the root they are laid out again from scratch;
+    otherwise the layering is repaired (relayer), the piece holding root
+    keeps comp and clash, edited in place, and any piece split off is laid
+    out from its smallest vertex.
+    """
+    nbrs = adj[v]
+    for w in nbrs:
+        adj[w] = tuple([x for x in adj[w] if x != v])
+    adj[v] = ()
+    comp.discard(v)
+    if v == root:
+        for x in comp:
+            dist[x] = -1
+        dist[v] = 0
+        return lay_out(adj, sorted(comp), dist)
+    stray = relayer(adj, v, nbrs, dist, clash)
+    comp.difference_update(stray)
+    pieces = lay_out(adj, stray, dist)
+    if clash:
+        pieces.append((root, comp, clash))
+    return pieces
 
 
 def _odd_layer(adj, s: int, radius: int, depth: list[int],
@@ -254,41 +363,37 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
             if u not in marked:  # a chosen neighbour's entry is emptied in turn
                 live[u] = tuple([x for x in adj[u] if x not in marked])
     additions: list[Addition] = []
-    color = [-1] * g.n
+    dist = [-1] * g.n
     depth = [-1] * g.n
     low = [0] * g.n
-    records: list[tuple[int, int, list[int]]] = []  # (h, least, component)
+    records = []  # (h, least, root, component, clash edges)
 
-    def settle(roots) -> None:
-        # color every uncolored component met in roots' order, and record
-        # the non-bipartite ones
-        for comp, clash in color_components(live, roots, color):
-            h, least = odd_girth_record(live, sorted(set(clash)), depth, low)
-            heapq.heappush(records, (h, least, comp))
+    def settle(pieces) -> None:
+        # record each non-bipartite piece
+        for root, comp, clash in pieces:
+            h, least = odd_girth_record(live, sorted({u for u, _ in clash}), depth, low)
+            heapq.heappush(records, (h, least, root, comp, clash))
 
     def frozen(color) -> ReductionState:
         return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]),
                               frozenset(range(g.n)).difference(ext["A"], ext["B"]),
                               tuple(additions), color)
 
-    settle(range(g.n))
+    settle(lay_out(live, range(g.n), dist))
     while records:
-        h, first, comp = heapq.heappop(records)
-        cycle = witness_cycle(live, first, h)
-        for v in cycle:
-            side = addable_side(g, ext["A"], ext["B"], v)
-            if side is not None:
-                ext[side].add(v)
-                for w in live[v]:
-                    live[w] = tuple([x for x in live[w] if x != v])
-                live[v] = ()
-                additions.append(Addition(v, side, len(cycle)))
-                for x in comp:
-                    color[x] = -1
-                color[v] = 0
-                comp.sort()
-                settle(comp)
-                break
-        else:
-            raise StuckOddCycle(frozen(None), cycle, find_claw(g))
-    return frozen(tuple(color)), additions
+        h, v, root, comp, clash = heapq.heappop(records)
+        side = addable_side(g, ext["A"], ext["B"], v)
+        if side is None:
+            # the witness starts at v; the first of its other vertices that
+            # may join a side is absorbed instead
+            cycle = witness_cycle(live, v, h)
+            for v in cycle[1:]:
+                side = addable_side(g, ext["A"], ext["B"], v)
+                if side is not None:
+                    break
+            else:
+                raise StuckOddCycle(frozen(None), cycle, find_claw(g))
+        ext[side].add(v)
+        additions.append(Addition(v, side, 2 * h + 1))
+        settle(cut_vertex(live, v, root, comp, dist, clash))
+    return frozen(tuple([d & 1 for d in dist])), additions

@@ -111,12 +111,12 @@ class _Search:
         self.mates = mates
         self.wvec = w = [HEAVY if len(ts) >= 2 else LIGHT if ts else 0 for ts in self.tri_by_vertex]
         # graph.ball2 for a cubic graph, one comprehension with no call per
-        # vertex (v is among its neighbours' neighbours), built only within
-        # distance 1 of a triangle, the vertices near, _forced and the
-        # additions read; None elsewhere
+        # vertex and no tuple concatenated (v is among its neighbours'
+        # neighbours), built only within distance 1 of a triangle, the
+        # vertices near, _forced and the additions read; None elsewhere
         self.ball2: list[set[int] | None] = [
-            set(a + adj[a[0]] + adj[a[1]] + adj[a[2]])
-            if x or w[a[0]] or w[a[1]] or w[a[2]] else None for x, a in zip(w, adj)]
+            {*a, *adj[p], *adj[q], *adj[r]} if x or w[p] or w[q] or w[r] else None
+            for x, a in zip(w, adj) for p, q, r in (a,)]
         self.sides = (set(a), set(b))
         marked = self.sides[SIDE_A] | self.sides[SIDE_B]
         self.weight = sum(map(self.wvec.__getitem__, marked))

@@ -21,7 +21,7 @@ from packfour.graph import (
     is_cubic,
     list_triangles,
 )
-from packfour.odd_cycle import (color_components, odd_girth_record, reduce_odd_cycles,
+from packfour.odd_cycle import (lay_out, odd_girth_record, reduce_odd_cycles,
                                 witness_cycle)
 from packfour.oracle import all_pairs_distances
 from packfour.triangle_break import break_triangles
@@ -49,12 +49,13 @@ def induced_subgraph(g: Graph, keep) -> Graph:
 
 def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
     """The reducer's BFS 2-coloring of a whole graph, roots ascending, as
-    (color, clash): clash lists the smaller ends of the edges whose ends
-    share a color, ascending and once each, so it is empty exactly when g is
+    (color, clash): color is the parity of each vertex's depth in lay_out's
+    layering, and clash lists the smaller ends of the edges whose ends share
+    a color, ascending and once each, so it is empty exactly when g is
     bipartite, and then color is a proper 2-coloring."""
-    color = [-1] * g.n
-    odd = color_components(g.adj, range(g.n), color)
-    return color, sorted({u for _, clash in odd for u in clash})
+    dist = [-1] * g.n
+    odd = lay_out(g.adj, range(g.n), dist)
+    return [d & 1 for d in dist], sorted({u for _, _, clash in odd for u, _ in clash})
 
 
 def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packfour import odd_cycle
 from packfour.errors import StuckOddCycle
@@ -188,10 +192,12 @@ def test_reduce_diamond_chain_trace_pinned():
 @pytest.mark.parametrize("k", [333, 3333])
 def test_reduce_diamond_chain_visits_linear(k, monkeypatch):
     # the reducer is linear on the claw-free chain: the adjacency reads of
-    # its 2-colorings, searches and witness BFS, summed over the run, stay
-    # under 4n (n = 9,990 and 99,990; about 2.7n are read), and the run
-    # aborts as soon as they pass it; a round over the whole remainder would
-    # read about n each
+    # its layouts, repairs, searches and witness BFS, summed over the run,
+    # stay under 4n (n = 9,990 and 99,990), and the run aborts as soon as
+    # they pass it; a round over the whole remainder would read about n each.
+    # Every function of odd_cycle that takes an adjacency is wrapped, so a
+    # read made outside the wrapped names cannot go uncounted; one called
+    # from another with the wrapped adjacency is not wrapped twice
     g = oracles.diamond_chain(k)
     pair, _ = break_triangles(g)
     bound = 4 * g.n
@@ -211,12 +217,110 @@ def test_reduce_diamond_chain_visits_linear(k, monkeypatch):
                 raise AssertionError(f"reducer read more than {bound} adjacencies")
             return self.adj[v]
 
-    for name in ("color_components", "odd_girth_record", "witness_cycle"):
-        monkeypatch.setattr(odd_cycle, name,
-                            lambda adj, *rest, f=getattr(odd_cycle, name): f(Counted(adj), *rest))
+        def __setitem__(self, v, a):
+            self.adj[v] = a
+
+    readers = ("lay_out", "relayer", "cut_vertex", "odd_girth_record", "_odd_layer",
+               "witness_cycle")
+    assert sorted(readers) == sorted(
+        name for name, f in vars(odd_cycle).items()
+        if inspect.isfunction(f) and f.__module__ == odd_cycle.__name__
+        and "adj" in inspect.signature(f).parameters)
+    for name in readers:
+        monkeypatch.setattr(odd_cycle, name, lambda adj, *rest, f=getattr(odd_cycle, name): f(
+            adj if isinstance(adj, Counted) else Counted(adj), *rest))
     state, additions = reduce_odd_cycles(g, pair)
     assert len(additions) == k - 1
     assert 0 < reads <= bound
+
+
+@pytest.mark.parametrize("n, absorbed, built", [(30, 4, 2), (60, 5, 2), (1000, 81, 16)])
+def test_reduce_builds_witness_only_when_its_source_is_blocked(n, absorbed, built, monkeypatch):
+    # the witness cycle starts at the record's vertex, and the scan absorbs
+    # its first vertex that may join a side, so the BFS that builds the cycle
+    # runs only when that vertex may join neither
+    calls = 0
+    witness = odd_cycle.witness_cycle
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return witness(*args)
+
+    monkeypatch.setattr(odd_cycle, "witness_cycle", counted)
+    g = problem1_family(n, 1)
+    pair, _ = break_triangles(g)
+    _, additions = reduce_odd_cycles(g, pair)
+    assert (len(additions), calls) == (absorbed, built)
+
+
+def delete_in_turn(g, keep, order):
+    """Lay out the subgraph of g induced by keep from scratch, then delete
+    the vertices of order one at a time with cut_vertex, and after each
+    deletion compare the adjacency, the depths and every non-bipartite
+    piece's root, vertices and clash edges with a from-scratch layout.
+    Returns how often each branch of a deletion ran."""
+    adj = list(induced_subgraph(g, keep).adj)
+    dist = [-1] * g.n
+    held = {root: (comp, clash) for root, comp, clash in odd_cycle.lay_out(adj, range(g.n), dist)}
+    left = set(keep)
+    branches = dict.fromkeys(("root", "empty", "repair", "split"), 0)
+    for v in order:
+        root = next((r for r, (comp, _) in held.items() if v in comp), None)
+        if root is None:
+            # a bipartite piece, which the reducer never cuts: read it off adj
+            comp = {v}
+            stack = [v]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if y not in comp:
+                        comp.add(y)
+                        stack.append(y)
+            root, clash = min(comp), set()
+        else:
+            comp, clash = held.pop(root)
+        rest = comp - {v}
+        before = list(dist)
+        for r, c, k in odd_cycle.cut_vertex(adj, v, root, comp, dist, clash):
+            held[r] = (c, k)
+        left.discard(v)
+        fresh = [-1] * g.n
+        want = {r: (c, k) for r, c, k in odd_cycle.lay_out(adj, range(g.n), fresh)}
+        assert adj == list(induced_subgraph(g, left).adj)
+        assert dist == fresh
+        assert held == want
+        if v == root:
+            branches["root"] += 1
+        else:
+            moved = [x for x in rest if dist[x] != before[x]]
+            branches["repair" if moved else "empty"] += 1
+            if sum(fresh[x] == 0 for x in rest) > 1:
+                branches["split"] += 1
+    return branches
+
+
+@given(oracles.cubic_graphs(), st.data())
+@settings(max_examples=80)
+def test_relayer_equals_fresh_layout(g, data):
+    # every vertex of a cubic graph, or of an induced subgraph of one, deleted
+    # in a drawn order: repaired depths and clash edges equal a fresh layout's
+    keep = data.draw(st.sets(st.sampled_from(range(g.n))) | st.just(set(range(g.n))))
+    delete_in_turn(g, keep, data.draw(st.permutations(sorted(keep))))
+
+
+def test_relayer_reaches_every_branch():
+    # root deletions are laid out again from scratch; other deletions repair
+    # the layering, move no vertex at all, or split the piece off
+    total = dict.fromkeys(("root", "empty", "repair", "split"), 0)
+    for n in (16, 40):
+        for seed in range(4):
+            g = random_cubic(n, seed=seed)
+            rng = random.Random(seed)
+            keep = rng.sample(range(n), 3 * n // 4) if seed % 2 else list(range(n))
+            order = rng.sample(keep, len(keep))
+            for branch, count in delete_in_turn(g, keep, order).items():
+                total[branch] += count
+    assert all(total.values()), total
 
 
 def test_forced_petersen_sticks_like_reference_reducer():
