@@ -3,7 +3,7 @@
 from .graph import build_graph
 from .formats import parse_graph6
 from .packing import SSpec, verify_spacking
-from .triangle_break import break_triangles, enumerate_improving_moves
+from .triangle_break import break_triangles
 from .odd_cycle import reduce_odd_cycles
 from .oracle import exists_spacking
 from .pipeline import color_claw_free_cubic
@@ -11,8 +11,7 @@ from . import errors
 
 __all__ = [
     "build_graph", "parse_graph6", "SSpec", "verify_spacking", "break_triangles",
-    "enumerate_improving_moves", "reduce_odd_cycles", "exists_spacking",
-    "color_claw_free_cubic", "errors", "generators",
+    "reduce_odd_cycles", "exists_spacking", "color_claw_free_cubic", "errors", "generators",
 ]
 
 

@@ -32,11 +32,12 @@ like every record in the package they are named tuples, cheap to build, but
 each field read is a descriptor call, so a hot loop reads a record's fields
 once, outside it, or unpacks the record.
 
-Moves around a triangle are generated lazily in canonical order
-(Move.sort_key: additions, then removals), and a step takes the first:
-improving_moves forms the additions, one (vertex, side) item or a pair,
-_forced settles each item's forced removals once, on demand, and _exchanges
-turns a combo that outweighs its forced removals into its moves.
+A step takes the first improving move around the first surviving triangle in
+canonical order (additions, then removals, each as sorted (vertex, side)
+pairs), and only that move is computed: first_move forms the additions, one
+(vertex, side) item or a pair, in order, _forced settles each item's forced
+removals once, on demand, and _move picks the removals of the first combo
+that outweighs its forced removals.
 
 A K4 component cannot satisfy (3) with two chosen vertices (any two of its
 vertices share a triangle), so its two smallest vertices are placed up front,
@@ -49,8 +50,6 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from collections.abc import Iterator
-from itertools import combinations
 
 from .errors import Stuck
 from .graph import Graph, Triangle, list_triangles, require_cubic
@@ -77,12 +76,6 @@ class Move(namedtuple("Move", "add_a add_b remove_a remove_b", defaults=((), (),
     # add_a and add_b are tuples of vertices; a removal is a vertex or None
     __slots__ = ()
 
-    def sort_key(self):
-        adds = sorted([(v, SIDE_A) for v in self.add_a] + [(v, SIDE_B) for v in self.add_b])
-        rems = sorted(([(self.remove_a, SIDE_A)] if self.remove_a is not None else []) +
-                      ([(self.remove_b, SIDE_B)] if self.remove_b is not None else []))
-        return (adds, rems)
-
 
 class AppliedMove(namedtuple("AppliedMove", "move weight_before weight_after surviving_after")):
     __slots__ = ()
@@ -90,9 +83,10 @@ class AppliedMove(namedtuple("AppliedMove", "move weight_before weight_after sur
 
 class _Search:
     """The triangle index, mates and radius-2 balls of one graph, and the pair
-    the search holds on it, kept as mutable state and updated in place."""
+    the search holds on it, kept as mutable state and updated in place; it
+    starts empty."""
 
-    def __init__(self, g: Graph, a=(), b=()):
+    def __init__(self, g: Graph):
         require_cubic(g)
         self.adj = adj = g.adj
         self.triangles: list[Triangle] = list_triangles(g)
@@ -117,12 +111,11 @@ class _Search:
         self.ball2: list[set[int] | None] = [
             {*a, *adj[p], *adj[q], *adj[r]} if x or w[p] or w[q] or w[r] else None
             for x, a in zip(w, adj) for p, q, r in (a,)]
-        self.sides = (set(a), set(b))
-        marked = self.sides[SIDE_A] | self.sides[SIDE_B]
-        self.weight = sum(map(self.wvec.__getitem__, marked))
-        self.hits = [(x in marked) + (y in marked) + (z in marked) for x, y, z in self.triangles]
+        self.sides: tuple[set[int], set[int]] = (set(), set())
+        self.weight = 0
+        self.hits = [0] * len(self.triangles)  # chosen vertices on each triangle
         # indices of surviving triangles, ascending, so already a min-heap
-        self.survivors = [i for i, h in enumerate(self.hits) if h == 0]
+        self.survivors = list(range(len(self.triangles)))
         self.surviving = len(self.survivors)
 
     def pair(self) -> PackingPair:
@@ -171,9 +164,10 @@ class _Search:
         return set().union(*[self.ball2[o] for o in adj[t[0]] + adj[t[1]] + adj[t[2]]
                              if o not in t])
 
-    def improving_moves(self, t: Triangle) -> Iterator[Move]:
-        """Valid strictly weight-increasing moves whose additions lie within
-        distance 3 of t (near), generated in Move.sort_key() order.
+    def first_move(self, t: Triangle) -> Move | None:
+        """The first valid strictly weight-increasing move in canonical order
+        (additions, then removals, side a before side b at one vertex) whose
+        additions lie within distance 3 of t (near), or None if there is none.
 
         Additions are (vertex, side) items: one, or two on distinct vertices,
         listed in one pass over the sorted candidates.  Each item settles its
@@ -184,11 +178,9 @@ class _Search:
         second item is settled; an item whose spare weight no HEAVY partner
         can make up pairs with nothing.  A pair whose forced removals are two
         distinct vertices on one side is rejected, and a removal both items
-        force is removed, and weighed, once.  A combo reaches _exchanges only
-        when its additions outweigh its forced removals, so every call
-        returns a move.
-        The generator reads the live state, so it must not be resumed after a
-        move is played.
+        force is removed, and weighed, once.  The first combo whose additions
+        outweigh its forced removals is the step's, and _move picks its
+        removals.
         """
         ball2, mates, w = self.ball2, self.mates, self.wvec
         in_a, in_b = self.sides
@@ -210,7 +202,7 @@ class _Search:
             v, side = x
             spare = w[v] - weight
             if spare > 0:
-                yield from self._exchanges((x,), ra, rb, spare)
+                return self._move((x,), ra, rb, spare)
             if spare + HEAVY <= 0:
                 continue  # no partner outweighs fx
             mates_v, ball_v = mates[v], ball2[v]
@@ -234,8 +226,9 @@ class _Search:
                         continue  # two removals on side b
                     slack += w[rb]
                 if slack > 0:
-                    yield from self._exchanges(
+                    return self._move(
                         (x, y), sa if ra is None else ra, sb if rb is None else rb, slack)
+        return None
 
     def _forced(self, v: int, side: int) -> tuple[int | None, int | None, int] | None:
         """The removals that adding v to side forces, as (removal from a,
@@ -254,55 +247,28 @@ class _Search:
         weight = (0 if own is None else w[own]) + (0 if other is None else w[other])
         return (own, other, weight) if side == SIDE_A else (other, own, weight)
 
-    def _exchanges(self, combo, ra, rb, slack) -> list[Move]:
-        """The moves adding combo, in removal order, given its forced
+    def _move(self, combo, ra, rb, slack) -> Move:
+        """The first move adding combo in removal order, given its forced
         removals ra and rb (None on a side with none) and slack > 0, the
         additions' weight less theirs.  Every removal set that holds the
         forced removals, at most one vertex per side, each within distance 2
-        of an addition, satisfies (1)-(3), so only weight decides: the sets
-        are the forced removals plus an extra chosen vertex on any side they
-        leave free, while the additions outweigh the removals.  A chosen
-        vertex lies on a triangle (condition (2)), so it weighs at least
-        LIGHT: with slack <= LIGHT no extra is affordable and the forced
-        removals alone are the one move, returned with no set built.  The
-        first move a step finds has more to spare only with a HEAVY
-        addition."""
+        of an addition, satisfies (1)-(3), so only weight decides which are
+        moves, and the forced removals alone always are.  One sorts before
+        them only when a single removal r is forced (with none, the empty set
+        sorts first; with two, no side is free): r plus a chosen vertex
+        x < r on the free side, within distance 2 of an addition, that the
+        slack affords (w[x] < slack), the least such x.  A chosen vertex lies
+        on a triangle (condition (2)), so it weighs at least LIGHT, and with
+        slack <= LIGHT no x is affordable."""
         add_a = tuple([v for v, side in combo if side == SIDE_A])
         add_b = tuple([v for v, side in combo if side == SIDE_B])
-        if slack <= LIGHT:
-            return [Move(add_a, add_b, ra, rb)]
-        return [Move(add_a, add_b, *rem) for rem in self._removal_sets(combo, ra, rb, slack)]
-
-    def _removal_sets(self, combo, ra, rb, slack) -> list[tuple[int | None, int | None]]:
-        """The removal sets of _exchanges as (removal from a, removal from
-        b), in removal order, for a combo whose slack exceeds LIGHT."""
-        w = self.wvec
-        near = set().union(*[self.ball2[v] for v, _ in combo])
-        extras = [(r, side) for side, forced in ((SIDE_A, ra), (SIDE_B, rb)) if forced is None
-                  for r in self.sides[side] & near if w[r] < slack]
-        must = [(r, side) for r, side in ((ra, SIDE_A), (rb, SIDE_B)) if r is not None]
-        sets = [must] + [must + [x] for x in extras] + [
-            must + [x, y] for x, y in combinations(extras, 2)
-            if x[1] != y[1] and w[x[0]] + w[y[0]] < slack]
-        out = []
-        for removal in sorted(sorted(rs) for rs in sets):
-            rem = {side: r for r, side in removal}
-            out.append((rem.get(SIDE_A), rem.get(SIDE_B)))
-        return out
-
-
-def enumerate_improving_moves(g: Graph, pair: PackingPair, t: Triangle) -> Iterator[Move]:
-    """Improving moves whose additions stay within distance 3 of triangle t.
-
-    Improving means strictly weight-increasing.  g must be cubic and t a
-    surviving triangle of the pair.  Moves are generated in canonical order,
-    Move.sort_key() (additions compared before removals, side a before side b),
-    and each candidate is checked once; for the first surviving triangle, the
-    first yield is exactly the step break_triangles takes.
-    """
-    if set(t) & pair.marked:
-        raise ValueError(f"triangle {t} is not surviving for this pair")
-    yield from _Search(g, pair.a, pair.b).improving_moves(t)
+        if slack > LIGHT and (ra is None) != (rb is None):
+            r, free = (ra, self.sides[SIDE_B]) if rb is None else (rb, self.sides[SIDE_A])
+            w = self.wvec
+            extras = [x for v, _ in combo for x in self.ball2[v] & free if x < r and w[x] < slack]
+            if extras:
+                ra, rb = (r, min(extras)) if rb is None else (min(extras), r)
+        return Move(add_a, add_b, ra, rb)
 
 
 def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
@@ -327,7 +293,7 @@ def break_triangles(g: Graph) -> tuple[PackingPair, list[AppliedMove]]:
             step(Move(add_a=(v,), add_b=(a[0],)))  # smallest two of a K4 component
     while search.surviving > 0:
         t = search.first_surviving()
-        move = next(search.improving_moves(t), None)
+        move = search.first_move(t)
         if move is None:
             raise Stuck(search.pair(), t)
         step(move)

@@ -3,7 +3,7 @@
 Everything here is deliberately naive (Floyd-Warshall, triple scans,
 exhaustive DFS cycle enumeration) so that agreement with the package is
 meaningful.  Keep these free of imports from the modules under test other
-than the Graph, SSpec, PackingPair, Addition and ReductionState
+than the Graph, SSpec, PackingPair, Move, Addition and ReductionState
 containers, build_graph and the error types.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from packfour.errors import (DuplicateEdge, PackfourError, ParseError, SelfLoop,
 from packfour.graph import Graph, build_graph
 from packfour.odd_cycle import Addition, ReductionState
 from packfour.packing import SSpec
-from packfour.triangle_break import PackingPair
+from packfour.triangle_break import Move, PackingPair
 
 INF = float("inf")
 
@@ -450,6 +450,16 @@ def reference_lemma_records(trace) -> list[dict]:
         "w_after": am.weight_after,
         "gamma_after": am.surviving_after,
     } for am in trace]
+
+
+def move_sort_key(m: Move):
+    """The canonical move order, in which the breaker takes the first
+    improving move: additions, then removals, each as sorted (vertex, side)
+    pairs, so side a sorts before side b at one vertex."""
+    adds = sorted([(v, "a") for v in m.add_a] + [(v, "b") for v in m.add_b])
+    rems = sorted([(r, side) for r, side in ((m.remove_a, "a"), (m.remove_b, "b"))
+                   if r is not None])
+    return (adds, rems)
 
 
 def reference_reducer_records(additions) -> list[dict]:

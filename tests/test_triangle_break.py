@@ -35,7 +35,6 @@ from packfour.triangle_break import (
     PackingPair,
     _Search,
     break_triangles,
-    enumerate_improving_moves,
 )
 
 import oracles
@@ -107,34 +106,17 @@ def test_surviving_triangles():
 
 
 def test_move_sort_key_order():
+    key = oracles.move_sort_key
     # side a sorts before side b at the same vertex; vertices dominate sides
-    assert Move(add_a=(0,)).sort_key() < Move(add_b=(0,)).sort_key()
-    assert Move(add_b=(0,)).sort_key() < Move(add_a=(3,)).sort_key()
+    assert key(Move(add_a=(0,))) < key(Move(add_b=(0,)))
+    assert key(Move(add_b=(0,))) < key(Move(add_a=(3,)))
     # a single addition precedes any two-addition move extending it
-    assert Move(add_a=(0,)).sort_key() < Move(add_a=(0, 3)).sort_key()
+    assert key(Move(add_a=(0,))) < key(Move(add_a=(0, 3)))
     # removals break ties after additions, no-removal first
-    assert Move(add_a=(5,)).sort_key() < Move(add_a=(5,), remove_a=2).sort_key()
-    assert (Move(add_a=(5,), remove_a=1).sort_key()
-            < Move(add_a=(5,), remove_b=1).sort_key())
-
-
-def test_enumerate_requires_surviving_triangle():
-    g = prism()
-    pair = recompute_pair(g, {0}, set())
-    with pytest.raises(ValueError):
-        next(enumerate_improving_moves(g, pair, (0, 1, 2)))
-
-
-def test_enumerate_first_moves_frozen():
-    g = prism()
-    empty = recompute_pair(g, set(), set())
-    first = next(enumerate_improving_moves(g, empty, (0, 1, 2)))
-    assert first == Move(add_a=(0,))
-    half = recompute_pair(g, {0}, set())
-    first = next(enumerate_improving_moves(g, half, (3, 4, 5)))
-    # single additions near the surviving triangle are all blocked by vertex 0,
-    # so the canonical move swaps 0 to side b while claiming 3 for side a
-    assert first == Move(add_a=(3,), add_b=(0,), remove_a=0)
+    assert key(Move(add_a=(5,))) < key(Move(add_a=(5,), remove_a=2))
+    assert key(Move(add_a=(5,), remove_a=1)) < key(Move(add_a=(5,), remove_b=1))
+    # an extra removal that sorts before the forced one comes first
+    assert key(Move(add_a=(5,), remove_a=3, remove_b=1)) < key(Move(add_a=(5,), remove_a=3))
 
 
 def mid_run(g, part=2):
@@ -156,12 +138,23 @@ def sides_after(trace):
     return a, b
 
 
+def search_at(g, a, b):
+    """A search on g holding the sides a, b, reached by playing them as one
+    move from the empty start."""
+    search = _Search(g)
+    search.play(Move(tuple(sorted(a)), tuple(sorted(b))))
+    return search
+
+
 def reference_moves(g, pair, t):
     """Every move shape around t, brute force, kept when valid and strictly
-    improving, in Move.sort_key order."""
+    improving, in oracles.move_sort_key order."""
     d = oracles.cached_distances(g)
-    on_triangle = {v for tri in oracles.cached_triangles(g) for v in tri}
+    tris = oracles.cached_triangles(g)
+    on_triangle = {v for tri in tris for v in tri}
     near_t = [v for v in sorted(on_triangle) if min(d[v][x] for x in t) <= 3]
+    # recompute_pair's weights, counted once per call
+    weight = {v: min(2, sum(v in tri for tri in tris)) for v in on_triangle}
     a, b = set(pair.a), set(pair.b)
     out = []
     for k in (1, 2):
@@ -178,10 +171,10 @@ def reference_moves(g, pair, t):
                             continue
                         na |= set(add_a)
                         nb |= set(add_b)
-                        if (essential_violations(g, na, nb) == []
-                                and recompute_pair(g, na, nb).weight > pair.weight):
+                        if (sum(weight.get(v, 0) for v in na | nb) > pair.weight
+                                and essential_violations(g, na, nb) == []):
                             out.append(Move(add_a, add_b, ra, rb))
-    return sorted(out, key=Move.sort_key)
+    return sorted(out, key=oracles.move_sort_key)
 
 
 @pytest.mark.parametrize("setup", [
@@ -197,36 +190,62 @@ def reference_moves(g, pair, t):
     (lambda: oracles.diamond_strings(40, 1, 0.3, 3), None, None, None),
 ])
 def test_enumerate_stream_sound(setup):
+    # the search's move around t is the first valid strictly improving move
+    # in canonical order, by brute force
     make, a, b, t = setup
     g = make()
     if t is None:
         a, b, t = mid_run(g)
     pair = recompute_pair(g, a, b)
-    moves = list(enumerate_improving_moves(g, pair, t))
-    assert moves
-    # complete: exactly the valid strictly improving moves, in canonical order
-    assert moves == reference_moves(g, pair, t)
-    keys = [m.sort_key() for m in moves]
-    assert keys == sorted(keys)
-    assert len(set(moves)) == len(moves)
-    near_t = oracles.cached_distances(g)
-    for m in moves:
-        adds = list(m.add_a) + list(m.add_b)
-        assert 1 <= len(adds) <= 2 and len(set(adds)) == len(adds)
-        # additions stay within distance 3 of the target triangle
-        for v in adds:
-            assert min(near_t[v][x] for x in t) <= 3
-        # removals come from their own side, within distance 2 of an addition
-        for r, side in ((m.remove_a, a), (m.remove_b, b)):
-            if r is not None:
-                assert r in side
-                assert min(near_t[r][v] for v in adds) <= 2
-        na = (set(a) - {m.remove_a}) | set(m.add_a)
-        nb = (set(b) - {m.remove_b}) | set(m.add_b)
-        assert essential_violations(g, na, nb) == []
-        result = recompute_pair(g, na, nb)
-        assert (result.weight > pair.weight
-                or (result.weight == pair.weight and result.surviving < pair.surviving))
+    search = search_at(g, a, b)
+    assert search.pair() == pair
+    assert search.first_surviving() == surviving_triangles(g, pair)[0]
+    m = search.first_move(t)
+    assert m is not None and m == reference_moves(g, pair, t)[0]
+    d = oracles.cached_distances(g)
+    adds = list(m.add_a) + list(m.add_b)
+    assert 1 <= len(adds) <= 2 and len(set(adds)) == len(adds)
+    # additions stay within distance 3 of the target triangle
+    for v in adds:
+        assert min(d[v][x] for x in t) <= 3
+    # removals come from their own side, within distance 2 of an addition
+    for r, side in ((m.remove_a, a), (m.remove_b, b)):
+        if r is not None:
+            assert r in side
+            assert min(d[r][v] for v in adds) <= 2
+    na = (set(a) - {m.remove_a}) | set(m.add_a)
+    nb = (set(b) - {m.remove_b}) | set(m.add_b)
+    assert essential_violations(g, na, nb) == []
+    assert recompute_pair(g, na, nb).weight > pair.weight
+
+
+def relabelled_necklace(p):
+    """diamond_necklace(3) relabelled by the seeded permutation p."""
+    return oracles.permute(diamond_necklace(3), oracles.random_perm(12, p))
+
+
+@pytest.mark.parametrize("make", [
+    prism,
+    lambda: diamond_necklace(2),
+    lambda: diamond_necklace(4),
+    lambda: inflate(k4()),
+    lambda: inflate(random_cubic(10, seed=2)),
+    lambda: inflate(random_cubic(8, seed=3)),
+    lambda: inflate(random_cubic(12, seed=1)),
+    lambda: inflate(random_cubic(12, seed=4)),
+    lambda: relabelled_necklace(172),
+    lambda: relabelled_necklace(63),
+], ids=["prism", "necklace2", "necklace4", "inflate-k4", "inflate-rc10-2", "inflate-rc8-3",
+        "inflate-rc12-1", "inflate-rc12-4", "necklace3-p172", "necklace3-p63"])
+def test_every_step_is_the_reference_first_move(make):
+    # every step of the run, not only one mid-run point: the move taken is
+    # the brute-force first improving move around the first surviving triangle
+    g = make()
+    assert g.n <= 36 and not k4_component_vertices(g)
+    _, trace = break_triangles(g)
+    for k, am in enumerate(trace):
+        pair = recompute_pair(g, *sides_after(trace[:k]))
+        assert am.move == reference_moves(g, pair, surviving_triangles(g, pair)[0])[0]
 
 
 def forcing_conditions(g, m, r, side):
@@ -247,7 +266,7 @@ def forcing_conditions(g, m, r, side):
 
 def removals_and_reasons(g, pair, t):
     """Each reference move around t with the forcing conditions of each of
-    its removals, in Move.sort_key order."""
+    its removals, in oracles.move_sort_key order."""
     return [(m, [forcing_conditions(g, m, r, side) for r, side in
                  sorted((r, side) for r, side in ((m.remove_a, "a"), (m.remove_b, "b"))
                         if r is not None)])
@@ -265,9 +284,11 @@ def test_enumerate_cases_reach_every_removal_rule():
     moves = removals_and_reasons(g, recompute_pair(g, a, b), t)
     assert any(why == {3} for _, whys in moves for why in whys)
     assert any(len(whys) == 2 and not whys[0] and whys[1] for _, whys in moves)
+    assert search_at(g, a, b).first_move(t) == moves[0][0]
     g = diamond_necklace(4)
     moves = removals_and_reasons(g, recompute_pair(g, {1}, {5, 9}), (0, 2, 3))
     assert any(whys == [set(), set()] for _, whys in moves)
+    assert search_at(g, {1}, {5, 9}).first_move((0, 2, 3)) == moves[0][0]
 
 
 def reference_forced(g, a, b, v, side):
@@ -333,7 +354,7 @@ def merge_rules(g, pair, t, moves):
     (lambda: oracles.diamond_strings(40, 1, 0.3, 0), 4, "heavy"),
 ])
 def test_enumerate_cases_reach_every_merge_rule(make, part, rule):
-    # the pair merge in improving_moves rejects a combo whose additions force
+    # the pair merge in first_move rejects a combo whose additions force
     # two distinct removals on one side, counts a removal forced by both
     # additions once, and pairs a first item with spare weight -1 only with
     # HEAVY partners; each case reaches one of these rules
@@ -342,7 +363,7 @@ def test_enumerate_cases_reach_every_merge_rule(make, part, rule):
     pair = recompute_pair(g, a, b)
     moves = reference_moves(g, pair, t)
     assert rule in merge_rules(g, pair, t, moves)
-    assert list(enumerate_improving_moves(g, pair, t)) == moves
+    assert search_at(g, a, b).first_move(t) == moves[0]
 
 
 @pytest.mark.parametrize("make,part", [
@@ -350,16 +371,15 @@ def test_enumerate_cases_reach_every_merge_rule(make, part, rule):
     (lambda: oracles.diamond_strings(40, 1, 0.3, 1), 4),
 ])
 def test_enumerate_cases_reach_extra_removals(make, part):
-    # the removal-set generator yields the forced removals alone when no
-    # extra removal is affordable; on these cases some additions have several
-    # moves, one per affordable extra removal, which that short cut must keep
+    # on these cases some additions have several moves, one per affordable
+    # extra removal; the search takes the first of them all
     g = make()
     a, b, t = mid_run(g, part)
     pair = recompute_pair(g, a, b)
     moves = reference_moves(g, pair, t)
     per_addition = collections.Counter((m.add_a, m.add_b) for m in moves)
     assert max(per_addition.values()) > 1
-    assert list(enumerate_improving_moves(g, pair, t)) == moves
+    assert search_at(g, a, b).first_move(t) == moves[0]
 
 
 def test_break_k4_frozen():
@@ -399,6 +419,66 @@ def test_break_necklace_and_inflation_frozen():
     assert pair.weight == 4 and len(trace) == 4
 
 
+# the moves of break_triangles(relabelled_necklace(p)), frozen before the
+# search computed only the move it takes
+RELABELLED_NECKLACE_MOVES = {
+    172: [((0,), (), None, None), ((1,), (0,), 0, None), ((3,), (1,), 1, 0),
+          ((0,), (3,), 3, None), ((1,), (7,), 0, 1), ((2,), (), 1, None)],
+    63: [((0,), (), None, None), ((1,), (), None, None), ((), (0, 2), 0, None),
+         ((0,), (7,), None, 0), ((6,), (3,), 1, 2)],
+}
+
+
+@pytest.mark.parametrize("p,taken,extra", [
+    # an unforced extra removal sorts before the forced one: the move takes it
+    (172, [set(), {"switch"}], [set(), {"switch"}]),
+    # an affordable extra sorts after the forced removal: the move does not
+    (63, [{1, "switch"}], [{1, "switch"}, set()]),
+])
+def test_break_relabelled_necklace_frozen(p, taken, extra):
+    # a step removes more than its additions force only when one removal is
+    # forced and an affordable chosen vertex on the free side sorts before
+    # it.  Each run has a step whose move has the taken forcing conditions
+    # (per removal, in removal order) and whose additions have exactly one
+    # move with two removals, with the extra forcing conditions
+    g = relabelled_necklace(p)
+    pair, trace = break_triangles(g)
+    assert [am.move for am in trace] == RELABELLED_NECKLACE_MOVES[p]
+    assert pair.surviving == 0
+    steps = []
+    for k, am in enumerate(trace):
+        before = recompute_pair(g, *sides_after(trace[:k]))
+        moves = removals_and_reasons(g, before, surviving_triangles(g, before)[0])
+        steps.append((dict(moves)[am.move],
+                      [whys for m, whys in moves if m[:2] == am.move[:2] and len(whys) == 2]))
+    assert (taken, [extra]) in steps
+
+
+# (diamond_strings arguments, relabelling seed): n, steps and the sha256 of the
+# trace records of break_triangles on that graph relabelled by
+# oracles.random_perm, frozen before the search computed only the move it takes
+RELABELLED_DIAMOND_STRING_TRACES = {
+    ((4, 0, 0.5, 4), 1): (32, 10, "11013515a4c3deb9077da9fe218b0705d38df44244406d4613555a91abfb2ff3"),
+    ((6, 1, 0.5, 6), 44): (50, 19, "019ca1bb87c13e0c3c1f1d2b9945b1dae92a3751c576248624e425969d3bf6e4"),
+}
+
+
+@pytest.mark.parametrize("args,p", sorted(RELABELLED_DIAMOND_STRING_TRACES),
+                         ids=["n32-heavy-unaffordable", "n50-two-extras"])
+def test_break_relabelled_diamond_strings_frozen(args, p):
+    # the edges of the extra-removal rule: on the first graph a step with one
+    # forced removal r and slack 2 has a HEAVY chosen vertex x < r within
+    # reach, which the slack does not afford; on the second a step has two
+    # affordable extras below r, and takes the least
+    g = oracles.diamond_strings(*args)
+    g = oracles.permute(g, oracles.random_perm(g.n, p))
+    pair, trace = break_triangles(g)
+    n, steps, digest = RELABELLED_DIAMOND_STRING_TRACES[args, p]
+    assert (g.n, len(trace), pair.surviving) == (n, steps, 0)
+    records = json.dumps(oracles.reference_lemma_records(trace), sort_keys=True)
+    assert hashlib.sha256(records.encode()).hexdigest() == digest
+
+
 def test_break_rejects_non_cubic():
     with pytest.raises(NotCubic) as e:
         break_triangles(cycle(5))
@@ -428,14 +508,14 @@ def test_stuck_carries_the_pair_and_first_survivor(monkeypatch, k):
     _, trace = break_triangles(g)
     assert len(trace) > k
     expected = recompute_pair(g, *sides_after(trace[:k]))
-    improving_moves = _Search.improving_moves
+    first_move = _Search.first_move
     searches = []
 
     def stall_after_k_steps(self, t):
         searches.append(t)
-        return improving_moves(self, t) if len(searches) <= k else iter(())
+        return first_move(self, t) if len(searches) <= k else None
 
-    monkeypatch.setattr(_Search, "improving_moves", stall_after_k_steps)
+    monkeypatch.setattr(_Search, "first_move", stall_after_k_steps)
     with pytest.raises(Stuck) as e:
         break_triangles(g)
     assert e.value.pair == expected  # sides, weight and survivor count
@@ -446,7 +526,7 @@ def test_stuck_carries_the_pair_and_first_survivor(monkeypatch, k):
 # sha256 of the trace records of break_triangles(diamond_strings(base_n, 1, 0.3, 7)),
 # taken from the breaker that rescanned every triangle on every step (n ~ 10^3
 # and 10^4) and from the one whose removal-set generator also rejected combos
-# (n ~ 10^5)
+# (n ~ 10^5), before the search computed only the move it takes
 DIAMOND_STRING_TRACES = {
     160: (996, 418, "30ffaea98b941dcc320bc89825c34c0de5c93ddf70e344fdc3b39ca6586d2ea2"),
     1600: (10720, 4560, "6f2a52eb8f31f457891c87b2c22d78eb2c97a2eec2c31e2e2cb6d49dc71cf78a"),
@@ -458,29 +538,21 @@ DIAMOND_STRING_TRACES = {
 def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
     # counts, not timings: addition items settled per step stay below a
     # constant from n ~ 10^3 to n ~ 10^5, each step hands exactly one combo
-    # to the removal-set generator (these graphs have no K4 component, so
-    # every step searches, and only a combo with a move reaches it), and the
-    # pair is built whole only at the end.  Every step settles at least its
-    # move's first item, so a settlement that bypasses _forced cannot pass.
-    # On these graphs every combo handed on outweighs its forced removals by
-    # exactly LIGHT, so none can afford an extra removal, and none builds
-    # removal sets.
+    # to _move (these graphs have no K4 component, so every step searches,
+    # and only a combo with a move reaches it), and the pair is built whole
+    # only at the end.  Every step settles at least its move's first item,
+    # so a settlement that bypasses _forced cannot pass.
     g = oracles.diamond_strings(base_n, 1, 0.3, 7)
-    forced, exchanges = _Search._forced, _Search._exchanges
-    removal_sets = _Search._removal_sets
-    counts = {"settled": 0, "combos": 0, "removal_sets": 0, "pairs": 0}
+    forced, move = _Search._forced, _Search._move
+    counts = {"settled": 0, "combos": 0, "pairs": 0}
 
     def counted_forced(self, *args):
         counts["settled"] += 1
         return forced(self, *args)
 
-    def counted_exchanges(self, *args):
+    def counted_move(self, *args):
         counts["combos"] += 1
-        return exchanges(self, *args)
-
-    def counted_removal_sets(self, *args):
-        counts["removal_sets"] += 1
-        return removal_sets(self, *args)
+        return move(self, *args)
 
     class CountedPair(PackingPair):
         __slots__ = ()
@@ -490,15 +562,13 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
             return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(_Search, "_forced", counted_forced)
-    monkeypatch.setattr(_Search, "_exchanges", counted_exchanges)
-    monkeypatch.setattr(_Search, "_removal_sets", counted_removal_sets)
+    monkeypatch.setattr(_Search, "_move", counted_move)
     monkeypatch.setattr(triangle_break, "PackingPair", CountedPair)
     pair, trace = break_triangles(g)
     n, steps, digest = DIAMOND_STRING_TRACES[base_n]
     assert (g.n, len(trace), pair.surviving) == (n, steps, 0)
     assert steps <= counts["settled"] <= 12 * steps
     assert counts["combos"] == steps
-    assert counts["removal_sets"] == 0
     assert counts["pairs"] == 1
     records = json.dumps(oracles.reference_lemma_records(trace), sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == digest
@@ -562,7 +632,8 @@ def all_valid_pairs(g, fixed_a=frozenset(), fixed_b=frozenset()):
 ])
 def test_every_valid_pair_with_survivors_admits_a_move(make, fixed):
     # a stall would need a valid pair with surviving triangles and no
-    # improving move anywhere near them; there is none on these graphs
+    # improving move anywhere near them; there is none on these graphs, and
+    # around each survivor the search finds the brute-force first move
     g = make()
     seen = 0
     for a, b in all_valid_pairs(g, *fixed):
@@ -570,10 +641,12 @@ def test_every_valid_pair_with_survivors_admits_a_move(make, fixed):
         if pair.surviving == 0:
             continue
         seen += 1
-        assert any(
-            next(enumerate_improving_moves(g, pair, t), None) is not None
-            for t in surviving_triangles(g, pair)
-        ), f"no improving move from a={sorted(a)} b={sorted(b)}"
+        search = search_at(g, a, b)
+        assert search.pair() == pair
+        moves = [search.first_move(t) for t in surviving_triangles(g, pair)]
+        assert moves == [(reference_moves(g, pair, t) or [None])[0]
+                         for t in surviving_triangles(g, pair)]
+        assert any(moves), f"no improving move from a={sorted(a)} b={sorted(b)}"
     assert seen > 0
 
 
