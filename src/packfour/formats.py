@@ -224,9 +224,11 @@ def _ints(values) -> bool:
 
 
 def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
-    """Rebuild the graph, spec and coloring a certificate claims to certify.
+    """Rebuild the graph and coloring a certificate claims to certify, with
+    SPEC_1122, the one spec a certificate may name.
 
-    Every field is type-checked first: a mistyped one is a ParseError.  The
+    Every field is checked first: a mistyped one, or an s_spec other than
+    [1, 1, 2, 2] with int entries, is a ParseError.  The
     edges go through build_graph, which takes a canonical list, the one
     write_certificate emits, in one append pass.  The classes are filled at
     C speed after a range check per class; n members in all and no vertex
@@ -240,12 +242,11 @@ def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
     if not (type(edges) is list and {*map(type, edges)} <= {list}
             and {*map(len, edges)} <= {2} and {*map(type, chain.from_iterable(edges))} <= {int}):
         raise ParseError(1, "certificate field 'edges' is not a list of integer pairs")
-    if not _ints(cert["s_spec"]):
-        raise ParseError(1, "certificate field 's_spec' is not a list of integers")
+    if not (_ints(cert["s_spec"]) and cert["s_spec"] == [1, 1, 2, 2]):
+        raise ParseError(1, "certificate field 's_spec' is not [1, 1, 2, 2]")
     if type(cert["classes"]) is not dict or not all(map(_ints, cert["classes"].values())):
         raise ParseError(1, "certificate field 'classes' is not an object of integer lists")
     g = build_graph(cert["n"], edges)
-    s = SSpec(tuple(cert["s_spec"]))
     n = g.n
     coloring: list[int | None] = [None] * n
     listed = 0
@@ -257,7 +258,7 @@ def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
         listed += len(members)
     else:
         if listed == n and None not in coloring:
-            return g, s, coloring  # type: ignore[return-value]
+            return g, SPEC_1122, coloring  # type: ignore[return-value]
     # member by member, raising at the first problem
     coloring = [None] * n
     for name, members in cert["classes"].items():
@@ -272,7 +273,7 @@ def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
     for v, cls in enumerate(coloring):
         if cls is None:
             raise ParseError(1, f"vertex {v} has no class")
-    return g, s, coloring  # type: ignore[return-value]
+    return g, SPEC_1122, coloring  # type: ignore[return-value]
 
 
 def write_dot(g: Graph, coloring: Coloring | None = None) -> str:

@@ -11,8 +11,12 @@ triangles, LIGHT = 1 for exactly one, 0 otherwise — until no triangle survives
 outside a u b.  Moves are bounded exchanges: at most one removal per side, at
 most two additions in total, removals within distance 2 of an added vertex.
 Every step is a local strict ascent: its additions lie within distance 3 of
-the first surviving triangle and it strictly increases the integer weight,
-which never exceeds 2n, so a run takes at most 2n steps.
+the first surviving triangle and it strictly increases the integer weight.
+Outside K4 components a vertex lies on at most two triangles, so its weight
+is its triangle count, and by (3) a triangle holds at most one chosen
+vertex; the weight is therefore at most T, the number of triangles, and
+exactly T once none survives, so a run takes at most T steps.  A K4
+component takes one placement step, of weight 4 for its four triangles.
 
 Set-up is eager and reads the cubic input's adjacency tuples directly: the
 triangles, an index from each vertex to the triangles through it (weights

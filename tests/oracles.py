@@ -320,12 +320,13 @@ def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:
 
 
 def spacking_ok(g: Graph, s: tuple[int, ...], coloring: list[int]) -> bool:
-    """Check an S-packing coloring with Floyd-Warshall distances."""
+    """Check an S-packing coloring with Floyd-Warshall distances, computed
+    once per graph."""
     if len(coloring) != g.n:
         return False
     if any(c < 1 or c > len(s) for c in coloring):
         return False
-    dist = floyd_warshall(g)
+    dist = cached_distances(g)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if coloring[u] == coloring[v] and dist[u][v] <= s[coloring[u] - 1]:
@@ -404,7 +405,9 @@ def reference_build_graph(n: int, edges) -> Graph:
 
 def reference_coloring_from_certificate(cert: dict):
     """coloring_from_certificate as type checks, reference_build_graph and
-    one walk over the class members, raising at the first problem."""
+    one walk over the class members, raising at the first problem.  The
+    spec is (1,1,2,2) and no other: an s_spec that is not [1, 1, 2, 2] with
+    int entries is a ParseError."""
     if type(cert["n"]) is not int:
         raise ParseError(1, "certificate field 'n' is not an integer")
     edges = cert["edges"]
@@ -415,12 +418,13 @@ def reference_coloring_from_certificate(cert: dict):
     def ints(values) -> bool:
         return type(values) is list and all(type(x) is int for x in values)
 
-    if not ints(cert["s_spec"]):
-        raise ParseError(1, "certificate field 's_spec' is not a list of integers")
+    spec = cert["s_spec"]
+    if not (type(spec) is list and [type(x) for x in spec] == [int] * 4
+            and spec == [1, 1, 2, 2]):
+        raise ParseError(1, "certificate field 's_spec' is not [1, 1, 2, 2]")
     if type(cert["classes"]) is not dict or not all(map(ints, cert["classes"].values())):
         raise ParseError(1, "certificate field 'classes' is not an object of integer lists")
     g = reference_build_graph(cert["n"], edges)
-    s = SSpec(tuple(cert["s_spec"]))
     name_to_index = {"1a": 1, "1b": 2, "2a": 3, "2b": 4}
     coloring: list[int | None] = [None] * g.n
     for name, members in cert["classes"].items():
@@ -435,7 +439,7 @@ def reference_coloring_from_certificate(cert: dict):
     for v, cls in enumerate(coloring):
         if cls is None:
             raise ParseError(1, f"vertex {v} has no class")
-    return g, s, coloring
+    return g, SSpec((1, 1, 2, 2)), coloring
 
 
 def reference_lemma_records(trace) -> list[dict]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
@@ -7,11 +8,14 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import packfour
 from packfour import cli, errors, formats
@@ -21,11 +25,28 @@ from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubi
 from packfour.packing import SSpec
 from packfour.oracle import exists_spacking
 
+import oracles
+from test_formats import OTHER_SPECS, mutated_certificates, real_certificates
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def run_captured(*argv, stdin: str = ""):
+    """(code, stdout, stderr) of main(argv) with stdin holding the given
+    text; for hypothesis properties, which cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def write(tmp_path, name, text):
@@ -107,6 +128,41 @@ def test_color_graph6_undecodable_byte_is_a_parse_record(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", str(path), "--s", "1,1,2,2")
     assert code == 0
     assert out.splitlines()[1] == "1\t-\terror\tbad graph6 character at position 1"
+
+
+# graph6 lines: the body alphabet, one- and four-byte size headers, the
+# unsupported "~~" header, lines that color and one with claws; edge lists:
+# a header and edge lines of small integers, with comments and stray
+# tokens; lone surrogates, which undecodable input bytes become
+G6_CHARS = "".join(map(chr, range(63, 127)))
+G6_LINES = st.one_of(
+    st.sampled_from([write_graph6(g) for g in (k4(), prism(), inflate(k4()), petersen())]),
+    st.tuples(st.sampled_from(["", "~", "~~"]), st.text(G6_CHARS, max_size=10)).map("".join),
+)
+EDGE_LIST_LINES = st.lists(st.integers(-1, 12).map(str) | st.sampled_from(["#", "x", "1.5"]),
+                           min_size=1, max_size=3).map(" ".join)
+SURROGATE_LINES = st.binary(max_size=6).map(lambda b: b.decode("utf-8", "surrogateescape"))
+COLOR_INPUTS = st.lists(G6_LINES | EDGE_LIST_LINES | SURROGATE_LINES, max_size=4).map("\n".join)
+
+
+@given(COLOR_INPUTS)
+@settings(max_examples=150, deadline=None)
+def test_color_arbitrary_text(text):
+    # any text exits with a documented code, writes certificates that verify
+    # against their input graph or error records, and never a traceback
+    code, out, err = run_captured("color", "-", stdin=text)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    _, items = cli._graph_items(text, "auto")
+    for i, line in enumerate(out.splitlines()):
+        record = json.loads(line)
+        if "error" in record:
+            assert sorted(record) == ["detail", "error", "index"] and record["index"] == i
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = write(Path(tmp), "graph.txt", items[i])
+            cert = write(Path(tmp), "cert.json", line)
+            assert run_captured("verify", graph, cert)[0] == 0
 
 
 @pytest.mark.parametrize("argv,code,pin", [
@@ -467,6 +523,8 @@ def test_verify_unreadable_certificate(tmp_path, capsys):
     ("s_spec", 5),
     ("classes", {"1a": [0.5]}),
     ("classes", {"1a": 5}),
+    # every other s_spec: (1,1,2,2) is the only spec a certificate may name
+    *[("s_spec", spec) for spec in OTHER_SPECS if spec != 5],
 ])
 def test_verify_mistyped_certificate_field(tmp_path, capsys, field, value):
     inp, cert_path = color_to_file(tmp_path, capsys, prism())
@@ -475,7 +533,47 @@ def test_verify_mistyped_certificate_field(tmp_path, capsys, field, value):
     (tmp_path / "cert.json").write_text(json.dumps(cert))
     code, _, err = run(capsys, "verify", inp, cert_path)
     assert code == 1
-    assert err.startswith("certificate: ")
+    assert err.startswith("certificate: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_a_looser_spec_coloring(tmp_path, capsys):
+    # the prism certificate with class 2a holding vertices 0 and 4, at
+    # distance 2: a (1,1,1,1) coloring, not a (1,1,2,2) one, so claiming
+    # [1, 1, 1, 1] is one certificate: line, and [1, 1, 2, 2] names the pair
+    inp, cert_path = color_to_file(tmp_path, capsys, prism())
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    cert["classes"] = {"1a": [1, 3], "1b": [2], "2a": [0, 4], "2b": [5]}
+    for spec, err in (([1, 1, 1, 1], "certificate: line 1: certificate field 's_spec' is not "
+                                     "[1, 1, 2, 2]\n"),
+                      ([1, 1, 2, 2], "invalid: vertices 0 and 4 share class 3 at distance 2\n")):
+        cert["s_spec"] = spec
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        assert run(capsys, "verify", inp, cert_path) == (1, "", err)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_accepts_only_1122_colorings(data):
+    # verify exits 0 exactly when the certificate parses, names the input
+    # graph and lists a (1,1,2,2) coloring of it, by Floyd-Warshall
+    # distances; otherwise it exits 1 with one line on stderr
+    text = data.draw(st.sampled_from(real_certificates()))
+    cert = data.draw(mutated_certificates(text))
+    original = json.loads(text)
+    g = oracles.reference_build_graph(original["n"], original["edges"])
+    try:
+        cg, _, coloring = oracles.reference_coloring_from_certificate(cert)
+        sound = cg == g and oracles.spacking_ok(g, (1, 1, 2, 2), coloring)
+    except errors.PackfourError:
+        sound = False
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = write(Path(tmp), "graph.g6", write_graph6(g) + "\n")
+        code, out, err = run_captured("verify", graph, "-", stdin=json.dumps(cert))
+    if sound:
+        assert (code, out, err) == (0, f"ok: verified S=1,1,2,2 coloring of n={g.n} graph\n", "")
+    else:
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------- oracle

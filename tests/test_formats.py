@@ -400,17 +400,45 @@ def real_certificates() -> tuple[str, ...]:
             + tuple(color_claw_free_cubic(g, force=True)[1] for g in forced))
 
 
+# s_spec values a certificate may not claim: a looser spec, the right one
+# with an entry appended, none, entries that compare equal to 1 but are not
+# ints, and no list at all
+OTHER_SPECS = ([1, 1, 1, 1], [1, 1, 2, 2, 9], [], [True, 1, 2, 2], [1.0, 1, 2, 2], 5)
+
+
+def loosened(cert: dict) -> list[tuple[int, str]]:
+    """(vertex, class) moves that put a vertex into a class of radius 2
+    where a looser spec, one that gives the class radius 1, still holds it:
+    no member of the class is adjacent to the vertex, and one lies at
+    distance 2.  Read off the certificate's own edges and classes."""
+    nbrs: dict[int, set[int]] = {}
+    for u, v in cert["edges"]:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    out = []
+    for name in ("2a", "2b"):
+        members = set(cert["classes"].get(name, ()))
+        for v in sorted(nbrs):
+            near = nbrs[v]
+            if v not in members and not near & members and any(nbrs[w] & members for w in near):
+                out.append((v, name))
+    return out
+
+
 @st.composite
-def mutated_certificates(draw) -> dict:
-    """A real certificate with up to two changes: a member of -1 or n, a
-    vertex in two classes, a vertex dropped, a member replaced by another
-    vertex (one listed twice, one dropped, n members in all), an unknown
-    class name, an edge repeated or reversed, the edges shuffled, n off by
-    one."""
-    cert = json.loads(draw(st.sampled_from(real_certificates())))
+def mutated_certificates(draw, text: str | None = None) -> dict:
+    """A real certificate (text, or one drawn from real_certificates()) with
+    up to two changes: a member of -1 or n, a vertex in two classes, a
+    vertex dropped, a member replaced by another vertex (one listed twice,
+    one dropped, n members in all), an unknown class name, an edge repeated
+    or reversed, the edges shuffled, n off by one, an s_spec from
+    OTHER_SPECS, a vertex moved into a class that only a looser spec
+    allows."""
+    cert = json.loads(text or draw(st.sampled_from(real_certificates())))
     classes, edges = cert["classes"], cert["edges"]
     for kind in draw(st.lists(st.sampled_from(["range", "twice", "drop", "replace", "name",
-                                               "repeat", "reverse", "shuffle", "n"]),
+                                               "repeat", "reverse", "shuffle", "n", "spec",
+                                               "loose"]),
                               max_size=2)):
         name = draw(st.sampled_from(sorted(classes)))
         members = classes[name]
@@ -435,6 +463,14 @@ def mutated_certificates(draw) -> dict:
             cert["edges"] = edges = draw(st.permutations(edges))
         elif kind == "n":
             cert["n"] += draw(st.sampled_from([-1, 1]))
+        elif kind == "spec":
+            cert["s_spec"] = draw(st.sampled_from(OTHER_SPECS))
+        elif kind == "loose" and (moves := loosened(cert)):
+            v, name = draw(st.sampled_from(moves))
+            for members in classes.values():
+                while v in members:
+                    members.remove(v)
+            classes[name] = sorted(classes[name] + [v])
     return cert
 
 

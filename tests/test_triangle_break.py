@@ -23,7 +23,7 @@ from packfour.generators import (
     prism,
     random_cubic,
 )
-from packfour.graph import bfs_distances, build_graph
+from packfour.graph import bfs_distances, build_graph, list_triangles
 from packfour.odd_cycle import Addition, ReductionState
 from packfour.oracle import OracleResult
 from packfour.packing import SSpec, Violation
@@ -189,7 +189,7 @@ def reference_moves(g, pair, t):
     (lambda: oracles.diamond_strings(40, 1, 0.3, 2), None, None, None),
     (lambda: oracles.diamond_strings(40, 1, 0.3, 3), None, None, None),
 ])
-def test_enumerate_stream_sound(setup):
+def test_first_move_sound(setup):
     # the search's move around t is the first valid strictly improving move
     # in canonical order, by brute force
     make, a, b, t = setup
@@ -273,8 +273,8 @@ def removals_and_reasons(g, pair, t):
             for m in reference_moves(g, pair, t)]
 
 
-def test_enumerate_cases_reach_every_removal_rule():
-    # cases of test_enumerate_stream_sound that reach each removal rule: the
+def test_first_move_cases_reach_every_removal_rule():
+    # cases of test_first_move_sound that reach each removal rule: the
     # mid-run pair on diamond_strings(40, 1, 0.3, 3) has a removal forced by
     # condition (3) alone, and two-removal moves whose unforced extra removal
     # sorts before the forced one; the necklace pair has moves whose two
@@ -353,7 +353,7 @@ def merge_rules(g, pair, t, moves):
     (lambda: inflate(random_cubic(8, seed=3)), 4, "shared"),
     (lambda: oracles.diamond_strings(40, 1, 0.3, 0), 4, "heavy"),
 ])
-def test_enumerate_cases_reach_every_merge_rule(make, part, rule):
+def test_first_move_cases_reach_every_merge_rule(make, part, rule):
     # the pair merge in first_move rejects a combo whose additions force
     # two distinct removals on one side, counts a removal forced by both
     # additions once, and pairs a first item with spare weight -1 only with
@@ -370,7 +370,7 @@ def test_enumerate_cases_reach_every_merge_rule(make, part, rule):
     (lambda: inflate(random_cubic(12, seed=4)), 2),
     (lambda: oracles.diamond_strings(40, 1, 0.3, 1), 4),
 ])
-def test_enumerate_cases_reach_extra_removals(make, part):
+def test_first_move_cases_reach_extra_removals(make, part):
     # on these cases some additions have several moves, one per affordable
     # extra removal; the search takes the first of them all
     g = make()
@@ -601,7 +601,12 @@ def replay_and_check(g, trace, final_pair):
         assert am.weight_after > am.weight_before  # strict ascent
         prev_w = am.weight_after
     assert a == set(final_pair.a) and b == set(final_pair.b)
-    assert len(trace) <= 2 * g.n
+    # one chosen vertex on each triangle, and a vertex weighs its triangle
+    # count (K4 components: two vertices of weight 2, four triangles), so
+    # the final weight is T, and strict ascent bounds the steps by it
+    triangles = len(list_triangles(g))
+    assert final_pair.weight == triangles
+    assert len(trace) <= triangles
 
 
 @pytest.mark.parametrize("n,seed", [(n, s) for n in (8, 12, 16, 20) for s in range(5)])
