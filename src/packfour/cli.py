@@ -2,9 +2,11 @@
 
 Subcommands: color, verify, oracle, gen, experiment.  Graph input is graph6
 (one graph per line) or an edge list ("n m" header).  color, verify and gen
-inflate sniff the format from the first line (--format pins it for color and
-verify); oracle and experiment problem2 read graph6 only.  All runs are
-deterministic for fixed inputs, flags and seeds; batch output order always
+inflate tell the two apart by the first non-blank line; oracle and
+experiment problem2 read graph6 only.  Each gen family and each experiment
+is a subcommand of its own, taking only the options it reads: --seed goes
+with gen random-cubic, gen problem1 and experiment problem1 alone.  All runs
+are deterministic for fixed inputs, flags and seeds; batch output order always
 matches input order, --jobs or not.  color writes each record as soon as it
 and every earlier one are done; with --jobs, forked workers color chunks of
 max(1, min(16, graphs // (4 * workers))) graphs, dealt round robin, and a
@@ -80,17 +82,16 @@ def _lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _graph_items(text: str, fmt: str):
-    """(parse, items): parse_graph6 and the non-blank lines, stripped, or
-    parse_edge_list and the whole text as the one item.  fmt "auto" takes the
-    text for an edge list when its first non-blank line holds whitespace or
-    starts a comment, since no graph6 line holds either."""
+def _graph_items(text: str):
+    """(parse, items): parse_edge_list and the whole text as the one item
+    when the first non-blank line holds whitespace or starts a comment, else
+    parse_graph6 and the non-blank lines, stripped.  The test is exact on
+    well-formed input: graph6 bytes are 63..126, which holds neither
+    whitespace nor '#', and an edge list's first non-blank line is a comment
+    or its "n m" header."""
     lines = _lines(text)
-    if fmt == "auto":
-        first = lines[0] if lines else ""
-        edges = first.startswith("#") or any(ch.isspace() for ch in first)
-        fmt = "edgelist" if edges else "graph6"
-    if fmt == "edgelist":
+    first = lines[0] if lines else ""
+    if first.startswith("#") or any(ch.isspace() for ch in first):
         return parse_edge_list, [text]
     return parse_graph6, lines
 
@@ -213,7 +214,7 @@ _EXIT_BY_STATUS = {"ok": 0, "parse": 2, "hypothesis": 3, "stuck": 4}
 
 
 def cmd_color(args) -> int:
-    parse, items = _graph_items(_read_text(args.input), args.format)
+    parse, items = _graph_items(_read_text(args.input))
     results = ordered_map(partial(_color_one, parse=parse, force=args.force), items, args.jobs)
     exit_code = 0
     with _output(args.out) as out, closing(results):
@@ -241,7 +242,7 @@ def _write_dot_file(base: str, index: int, total: int, cert_text: str) -> None:
 
 def cmd_verify(args) -> int:
     try:
-        parse, items = _graph_items(_read_text(args.graph), args.format)
+        parse, items = _graph_items(_read_text(args.graph))
         graphs = [parse(item) for item in items]
     except (PackfourError, OSError) as e:
         print(f"graph input: {e}", file=sys.stderr)
@@ -357,7 +358,7 @@ def _gen_graphs(args) -> list[Graph]:
     if args.family == "inflate":
         base_arg = args.base
         if os.path.exists(base_arg):
-            parse, items = _graph_items(_read_text(base_arg), "auto")
+            parse, items = _graph_items(_read_text(base_arg))
             graphs = [parse(item) for item in items]
             return [inflate(g) for g in graphs]
         return [inflate(named_graph(base_arg))]
@@ -366,9 +367,8 @@ def _gen_graphs(args) -> list[Graph]:
     if args.family == "random-cubic":
         return [random_cubic(args.n, args.seed + i, connected=args.connected)
                 for i in range(args.count)]
-    if args.family == "problem1":
-        return [problem1_family(args.n, args.seed + i) for i in range(args.count)]
-    raise BadParameter(f"unknown family {args.family!r}")
+    # problem1: argparse lets no other family through
+    return [problem1_family(args.n, args.seed + i) for i in range(args.count)]
 
 
 def cmd_gen(args) -> int:
@@ -383,26 +383,25 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _experiment_corpus(args) -> list[str]:
+def cmd_problem2(args) -> int:
     if args.input:
-        return _lines(_read_text(args.input))
-    from .generators import diamond_necklace, inflate, k4, prism
+        lines = _lines(_read_text(args.input))
+    else:
+        from .generators import diamond_necklace, inflate, k4, prism
 
-    default = [k4(), prism(), diamond_necklace(2), diamond_necklace(3), inflate(k4())]
-    return [write_graph6(g) for g in default]
+        lines = [write_graph6(g) for g in (k4(), prism(), diamond_necklace(2),
+                                           diamond_necklace(3), inflate(k4()))]
+    records, summary = batch_decide(lines, SPEC_1123, vertex_cap=args.cap, jobs=args.jobs)
+    for rec in records:
+        _print_verdict_row(rec)
+    for flagged in summary["flagged"]:
+        print(f"CANDIDATE {flagged['flag']}: {flagged['graph6']}")
+    print(json.dumps(summary, sort_keys=True))
+    return 0
 
 
-def cmd_experiment(args) -> int:
-    if args.which == "problem2":
-        lines = _experiment_corpus(args)
-        records, summary = batch_decide(lines, SPEC_1123, vertex_cap=args.cap, jobs=args.jobs)
-        for rec in records:
-            _print_verdict_row(rec)
-        for flagged in summary["flagged"]:
-            print(f"CANDIDATE {flagged['flag']}: {flagged['graph6']}")
-        print(json.dumps(summary, sort_keys=True))
-        return 0
-    # problem1: constructive family, pipeline first (forced), oracle fallback
+def cmd_problem1(args) -> int:
+    """The constructive family: pipeline first (forced), oracle fallback."""
     from .generators import problem1_family
 
     try:
@@ -448,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="color graphs and emit certificates")
     p.add_argument("input", nargs="?", default=None, help="input file, or - for stdin")
-    p.add_argument("--format", choices=["auto", "graph6", "edgelist"], default="auto")
     p.add_argument("--out", default=None, help="write certificates here instead of stdout")
     p.add_argument("--force", action="store_true",
                    help="attempt non-claw-free cubic graphs; stuck runs exit 4")
@@ -459,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a certificate against a graph")
     p.add_argument("graph")
     p.add_argument("certificate")
-    p.add_argument("--format", choices=["auto", "graph6", "edgelist"], default="auto")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive S-packing decisions for small graphs")
@@ -482,22 +479,27 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("n", type=int)
     q.add_argument("--count", type=int, default=1)
     q.add_argument("--connected", action="store_true")
+    q.add_argument("--seed", type=int, default=0)
     q = gen_sub.add_parser("problem1")
     q.add_argument("n", type=int)
     q.add_argument("--count", type=int, default=1)
+    q.add_argument("--seed", type=int, default=0)
     for q in gen_sub.choices.values():
-        q.add_argument("--seed", type=int, default=0)
         q.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("experiment", help="the two open-problem experiment harnesses")
-    p.add_argument("which", choices=["problem1", "problem2"])
-    p.add_argument("--input", default=None, help="graph6 corpus file (problem2)")
-    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="4", help="comma-separated base sizes (problem1)")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_experiment)
+    exp_sub = p.add_subparsers(dest="which", required=True)
+    q = exp_sub.add_parser("problem1", help="the gadget family, pipeline then oracle")
+    q.add_argument("--sizes", default="4", help="comma-separated base sizes")
+    q.add_argument("--seed", type=int, default=0)
+    q.set_defaults(func=cmd_problem1)
+    q = exp_sub.add_parser("problem2", help="(1,1,2,3) decisions over a graph6 corpus")
+    q.add_argument("--input", default=None, help="graph6 corpus file")
+    q.add_argument("--jobs", type=int, default=1)
+    q.set_defaults(func=cmd_problem2)
+    for q in exp_sub.choices.values():
+        q.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     return top
 
 

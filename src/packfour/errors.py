@@ -64,8 +64,8 @@ class LengthMismatch(PackfourError):
 
 
 class UnsupportedHeader(PackfourError):
-    def __init__(self, detail: str = "graph6 header form not supported (n > 258047)"):
-        super().__init__(detail)
+    def __init__(self):
+        super().__init__("graph6 header form not supported (n > 258047)")
 
 
 class TooLarge(PackfourError):

@@ -276,14 +276,12 @@ def coloring_from_certificate(cert: dict) -> tuple[Graph, SSpec, Coloring]:
     return g, SPEC_1122, coloring  # type: ignore[return-value]
 
 
-def write_dot(g: Graph, coloring: Coloring | None = None) -> str:
-    """DOT output for eyeballing; not part of any certified path."""
+def write_dot(g: Graph, coloring: Coloring) -> str:
+    """DOT output for eyeballing, each vertex labelled "v:class" (1a, 1b,
+    2a or 2b); not part of any certified path."""
     lines = ["graph G {"]
     for v in range(g.n):
-        if coloring is not None:
-            lines.append(f'  {v} [label="{v}:{CLASS_NAMES.get(coloring[v], coloring[v])}"];')
-        else:
-            lines.append(f"  {v};")
+        lines.append(f'  {v} [label="{v}:{CLASS_NAMES[coloring[v]]}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -101,17 +101,21 @@ def named_graph(name: str) -> Graph:
     raise UnknownName(name)
 
 
-def random_cubic(n: int, seed: int, connected: bool = False,
-                 max_retries: int = 2000) -> Graph:
+# pairings random_cubic draws before it gives up
+MAX_RETRIES = 2000
+
+
+def random_cubic(n: int, seed: int, connected: bool = False) -> Graph:
     """Seeded configuration-model cubic graph: pair stubs, reject degeneracies.
 
     Rejects pairings with loops or repeated edges (and disconnected results
-    when `connected` is set); raises RetryLimit if no clean pairing shows up.
+    when `connected` is set); raises RetryLimit if none of MAX_RETRIES
+    pairings is clean.
     """
     if n < 4 or n % 2 != 0:
         raise BadParameter(f"random cubic graph needs even n >= 4, got {n}")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         edges = set()
@@ -132,7 +136,7 @@ def random_cubic(n: int, seed: int, connected: bool = False,
         if connected and len(bfs_distances(g, [0])) < n:
             continue
         return g
-    raise RetryLimit(n, max_retries)
+    raise RetryLimit(n, MAX_RETRIES)
 
 
 def vertices_on_cycle_3_or_4(g: Graph) -> list[bool]:

@@ -45,6 +45,9 @@ opposite edge inside one layer.  Three searches find it without the scan:
   a common prefix and no rotation.
 
 None of this needs the remainder to be claw-free or of maximum degree 2.
+On claw-free input every odd component of the remainder is one cycle with
+one clash edge, so relayer's multi-layer repair and split, and a
+multi-source odd_girth_record, serve --force alone.
 
 The loop keeps one record per non-bipartite component of the remainder,
 (h, least): the component's odd girth is 2h + 1 and least is the smallest

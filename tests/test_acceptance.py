@@ -32,6 +32,7 @@ from packfour.packing import SSpec, verify_spacking
 from packfour import pipeline
 from packfour.pipeline import color_claw_free_cubic
 from packfour.triangle_break import _Search, break_triangles
+from packfour import odd_cycle
 from packfour.odd_cycle import reduce_odd_cycles
 
 import oracles
@@ -261,15 +262,24 @@ def test_ball_table_matches_vertices_within(corpus):
             assert 0 < len(near) < g.n
 
 
-def test_claw_free_counts(corpus):
+def test_claw_free_counts(corpus, monkeypatch):
     # the paper's argument as exact counts, on the corpus, a diamond string
     # graph and a diamond chain, each in generator order and relabelled: the
     # breaker ends at weight T, the number of triangles, in at most T steps;
     # every vertex lies on a triangle, which holds a chosen neighbour, so the
     # remainder has maximum degree 2; and the reducer absorbs one vertex per
-    # odd component of it, each a cycle, by networkx
+    # odd component of it, each a cycle, by networkx.  Such a cycle has one
+    # clash edge, so the reducer runs one odd-girth search per absorption
     import networkx as nx
 
+    searches = []
+    odd_layer = odd_cycle._odd_layer
+
+    def counted(*args):
+        searches.append(args[1])
+        return odd_layer(*args)
+
+    monkeypatch.setattr(odd_cycle, "_odd_layer", counted)
     graphs = corpus + [oracles.diamond_strings(400, 1, 0.3, 3), oracles.diamond_chain(333)]
     absorbed = []
     for i, natural in enumerate(graphs):
@@ -283,8 +293,9 @@ def test_claw_free_counts(corpus):
             assert max((d for _, d in sub.degree), default=0) <= 2
             odd_components = sum(not nx.is_bipartite(sub.subgraph(c))
                                  for c in nx.connected_components(sub))
+            searches.clear()
             _, additions = reduce_odd_cycles(g, pair)
-            assert len(additions) == odd_components
+            assert len(additions) == odd_components == len(searches)
             absorbed.append(len(additions))
     # only the relabelled corpus and the chain absorb: 3 there, and 332 and
     # 6 on the chain in generator order and relabelled

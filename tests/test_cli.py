@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import packfour
 from packfour import cli, errors, formats
 from packfour.cli import main
-from packfour.formats import parse_graph6, write_graph6
+from packfour.formats import parse_edge_list, parse_graph6, write_graph6
 from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubic
 from packfour.packing import SSpec
 from packfour.oracle import exists_spacking
@@ -95,15 +96,14 @@ def test_color_parse_error_exit_2(tmp_path, capsys):
     assert "graph 1: parse" in err
 
 
-@pytest.mark.parametrize("text,pin", [("3 1\n0 5\n", []),
-                                      ("C~\n", ["--format", "edgelist"])],
-                         ids=["bad-edgelist", "graph6-pinned-edgelist"])
+@pytest.mark.parametrize("text", ["3 1\n0 5\n", "\n# k4?\n3 1\n0 5\n"],
+                         ids=["bad-edgelist", "commented-bad-edgelist"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-def test_color_edgelist_parse_error_record(tmp_path, capsys, text, pin, to_file):
+def test_color_edgelist_parse_error_record(tmp_path, capsys, text, to_file):
     # an edge list is graph 0 of a one-graph batch, so it fails like a bad graph6 line
     inp = write(tmp_path, "in.txt", text)
     out_path = tmp_path / "certs.jsonl"
-    code, out, err = run(capsys, "color", inp, *pin,
+    code, out, err = run(capsys, "color", inp,
                          *(["--out", str(out_path)] if to_file else []))
     assert code == 2
     if to_file:
@@ -153,7 +153,7 @@ def test_color_arbitrary_text(text):
     code, out, err = run_captured("color", "-", stdin=text)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
-    _, items = cli._graph_items(text, "auto")
+    _, items = cli._graph_items(text)
     for i, line in enumerate(out.splitlines()):
         record = json.loads(line)
         if "error" in record:
@@ -163,6 +163,67 @@ def test_color_arbitrary_text(text):
             graph = write(Path(tmp), "graph.txt", items[i])
             cert = write(Path(tmp), "cert.json", line)
             assert run_captured("verify", graph, cert)[0] == 0
+
+
+def edge_list_texts(g):
+    """g as an edge list twice: a leading comment line with no whitespace,
+    then newlines and spaces; and blank lines first, tabs, CRLF and a
+    trailing comment."""
+    edges = list(g.edges())
+    commented = f"#cubic,n={g.n}\n{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    messy = ("\r\n \t\r\n" + f"{g.n}\t{g.m}\r\n"
+             + "".join(f"{u}\t{v}\r\n" for u, v in edges) + "# comment\r\n")
+    return [commented, messy]
+
+
+@given(oracles.cubic_graphs())
+@settings(max_examples=100, deadline=None)
+def test_graph_items_sniff_is_exact(g):
+    # no graph6 byte is whitespace or '#', and an edge list's first
+    # non-blank line is a comment or its "n m" header, so the first line
+    # names the parser the text was written for, and it gives g back
+    texts = [(write_graph6(g) + "\n", parse_graph6)]
+    texts += [(text, parse_edge_list) for text in edge_list_texts(g)]
+    for text, parse in texts:
+        got, items = cli._graph_items(text)
+        assert got is parse and [got(item) for item in items] == [g]
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "in.g6", "--format", "graph6"],
+    ["verify", "p.g6", "p.cert", "--format", "edgelist"],
+    ["gen", "named", "prism", "--seed", "1"],
+    ["experiment", "problem2", "--sizes", "4"],
+    ["experiment", "problem1", "--input", "x.g6", "--jobs", "2"],
+], ids=["color-format", "verify-format", "gen-named-seed", "problem2-sizes",
+        "problem1-input-jobs"])
+def test_removed_options_are_usage_errors(capsys, argv):
+    # an option its command does not read is refused by argparse before any
+    # file is opened: exit 2, one usage line and one error line
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert err.startswith("usage: ") and err.count("usage:") == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["experiment", "problem2"],
+     "533423536ab1e90bda0a952d42a0e1184b86e63f02c3d68a39ebaf96955b1d4b"),
+    (["experiment", "problem1", "--sizes", "4,6", "--seed", "0"],
+     "0b519629d8c71e01bed9083ef54906ab77407132eb926909f3618a92bca61330"),
+    (["gen", "random-cubic", "12", "--count", "3", "--seed", "5"],
+     "650dabef80388cda33529c2f2d61005c39618099f18403ee3aa72aa34df00cb8"),
+    (["gen", "problem1", "4", "--seed", "0"],
+     "8da0c1ab35a544591229d48b841df066f52ebb9d7192c09b0851b9b32430c5fd"),
+], ids=["problem2", "problem1", "gen-random-cubic", "gen-problem1"])
+def test_kept_options_print_what_they_printed(capsys, argv, digest):
+    # the SHA-256 of stdout, pinned from before each experiment and gen
+    # family took only the options it reads
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,code,pin", [

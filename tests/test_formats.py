@@ -487,4 +487,4 @@ def test_write_dot():
     out = write_dot(prism(), PRISM_COLORING)
     assert "0 -- 1;" in out and "2 -- 5;" in out
     assert '"0:2a"' in out
-    assert write_dot(petersen()).count("--") == 15
+    assert write_dot(petersen(), [1 + v % 4 for v in range(10)]).count("--") == 15

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from packfour import generators
 from packfour.errors import BadParameter, NotCubic, RetryLimit, UnknownName
 from packfour.generators import (
     cycle,
@@ -115,15 +116,16 @@ def test_random_cubic_determinism():
     assert any(e != sorted(a.edges()) for e in others)
 
 
-def test_random_cubic_small_cases():
+def test_random_cubic_small_cases(monkeypatch):
     # the only simple cubic graph on 4 vertices is K4
     assert sorted(random_cubic(4, seed=99).edges()) == sorted(k4().edges())
     with pytest.raises(BadParameter):
         random_cubic(5, seed=0)
     with pytest.raises(BadParameter):
         random_cubic(2, seed=0)
+    monkeypatch.setattr(generators, "MAX_RETRIES", 0)
     with pytest.raises(RetryLimit):
-        random_cubic(10, seed=0, max_retries=0)
+        random_cubic(10, seed=0)
 
 
 def test_random_cubic_connected_flag():
