@@ -1,48 +1,59 @@
 """Exception types shared across the package.
 
 Every error raised on purpose derives from PackfourError so callers (and the
-CLI exit-code mapping) can catch one base class.  Each exception keeps its
-payload as attributes for programmatic inspection.
+CLI exit-code mapping) can catch one base class.
+
+An error's args are its payload, in constructor order, and each payload
+value is also an attribute named in the class's ``fields``.  ``str()``
+builds the message from them only when asked.  So an error pickles by the
+default protocol (a --jobs worker's error reaches the parent that way), and
+a wrong argument count is a TypeError when the error is built.
 """
 
 from __future__ import annotations
 
 
 class PackfourError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-    def __reduce__(self):
-        # a subclass's __init__ takes the payload, not the formatted message
-        # args holds, so a pickled copy (a --jobs worker's error) is rebuilt
-        # without it: type and args first, then the attributes
-        return _rebuild, (type(self), self.args), vars(self)
+    A subclass names its payload's attributes in ``fields`` and gives either
+    ``message``, a str.format template over those names, or its own
+    __str__.  With no fields, as here and on BadParameter, an error takes any
+    arguments, the first being the message.
+    """
 
+    fields = None
 
-def _rebuild(cls, args):
-    return Exception.__new__(cls, *args)
+    def __init__(self, *args):
+        if self.fields is not None and len(args) != len(self.fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(self.fields)} arguments "
+                            f"({len(args)} given)")
+        super().__init__(*args)
+        for name, value in zip(self.fields or (), args):
+            setattr(self, name, value)
+
+    def __str__(self):
+        if self.fields is None:
+            return super().__str__()
+        return self.message.format_map(vars(self))
 
 
 # ---------------------------------------------------------------- graph build
 
 
 class SelfLoop(PackfourError):
-    def __init__(self, u: int):
-        super().__init__(f"self-loop at vertex {u}")
-        self.u = u
+    fields = ("u",)
+    message = "self-loop at vertex {u}"
 
 
 class DuplicateEdge(PackfourError):
-    def __init__(self, u: int, v: int):
-        super().__init__(f"duplicate edge ({u}, {v})")
-        self.u = u
-        self.v = v
+    fields = ("u", "v")
+    message = "duplicate edge ({u}, {v})"
 
 
 class VertexOutOfRange(PackfourError):
-    def __init__(self, v: int, n: int):
-        super().__init__(f"vertex {v} out of range for n={n}")
-        self.v = v
-        self.n = n
+    fields = ("v", "n")
+    message = "vertex {v} out of range for n={n}"
 
 
 # ----------------------------------------------------------------- formats
@@ -51,87 +62,79 @@ class VertexOutOfRange(PackfourError):
 class BadChar(PackfourError):
     """graph6 byte outside the printable range 63..126."""
 
-    def __init__(self, position: int):
-        super().__init__(f"bad graph6 character at position {position}")
-        self.position = position
+    fields = ("position",)
+    message = "bad graph6 character at position {position}"
 
 
 class LengthMismatch(PackfourError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"graph6 body length mismatch: expected {expected} bytes, got {got}")
-        self.expected = expected
-        self.got = got
+    fields = ("expected", "got")
+    message = "graph6 body length mismatch: expected {expected} bytes, got {got}"
 
 
 class UnsupportedHeader(PackfourError):
-    def __init__(self):
-        super().__init__("graph6 header form not supported (n > 258047)")
+    fields = ()
+    message = "graph6 header form not supported (n > 258047)"
 
 
 class TooLarge(PackfourError):
-    def __init__(self, n: int):
-        super().__init__(f"cannot encode graph with n={n} > 258047 vertices")
-        self.n = n
+    fields = ("n",)
+    message = "cannot encode graph with n={n} > 258047 vertices"
 
 
 class ParseError(PackfourError):
+    fields = ("line", "detail")
+    message = "line {line}: {detail}"
+
     def __init__(self, line: int, detail: str = "malformed line"):
-        super().__init__(f"line {line}: {detail}")
-        self.line = line
-        self.detail = detail
+        super().__init__(line, detail)
 
 
 class RefusesUnverified(PackfourError):
     """Certificate writer refused a coloring the verifier does not accept."""
 
-    def __init__(self, violation):
-        super().__init__(f"refusing to write certificate: {violation}")
-        self.violation = violation
+    fields = ("violation",)
+    message = "refusing to write certificate: {violation}"
 
 
 # ------------------------------------------------------------ packing specs
 
 
 class EmptySpec(PackfourError):
-    def __init__(self):
-        super().__init__("packing spec is empty")
+    fields = ()
+    message = "packing spec is empty"
 
 
 class NotPositive(PackfourError):
-    def __init__(self, token: str):
-        super().__init__(f"packing spec entry is not a positive integer: {token!r}")
-        self.token = token
+    fields = ("token",)
+    message = "packing spec entry is not a positive integer: {token!r}"
 
 
 class NotNonDecreasing(PackfourError):
-    def __init__(self, values: tuple):
-        super().__init__(f"packing spec entries must be non-decreasing, got {list(values)}")
-        self.values = values
+    fields = ("values",)
+
+    def __str__(self):
+        return f"packing spec entries must be non-decreasing, got {list(self.values)}"
 
 
 class ClassOutOfRange(PackfourError):
-    def __init__(self, vertex: int, class_index: int, r: int):
-        super().__init__(f"vertex {vertex} has class {class_index}, outside 1..{r}")
-        self.vertex = vertex
-        self.class_index = class_index
-        self.r = r
+    fields = ("vertex", "class_index", "r")
+    message = "vertex {vertex} has class {class_index}, outside 1..{r}"
 
 
 # ----------------------------------------------------------- algorithm stages
 
 
 class NotCubic(PackfourError):
-    def __init__(self, vertex: int, degree: int):
-        super().__init__(f"graph is not cubic: vertex {vertex} has degree {degree}")
-        self.vertex = vertex
-        self.degree = degree
+    fields = ("vertex", "degree")
+    message = "graph is not cubic: vertex {vertex} has degree {degree}"
 
 
 class NotClawFree(PackfourError):
-    def __init__(self, claw):
-        center, leaves = claw
-        super().__init__(f"graph has a claw centered at {center} with leaves {list(leaves)}")
-        self.claw = claw
+    fields = ("claw",)
+
+    def __str__(self):
+        center, leaves = self.claw
+        return f"graph has a claw centered at {center} with leaves {list(leaves)}"
 
 
 class Stuck(PackfourError):
@@ -142,10 +145,8 @@ class Stuck(PackfourError):
     swallowed.
     """
 
-    def __init__(self, pair, triangle):
-        super().__init__(f"no improving move for surviving triangle {triangle}")
-        self.pair = pair
-        self.triangle = triangle
+    fields = ("pair", "triangle")
+    message = "no improving move for surviving triangle {triangle}"
 
 
 class StuckOddCycle(PackfourError):
@@ -155,30 +156,25 @@ class StuckOddCycle(PackfourError):
     search on the input graph (non-claw-free inputs are the expected cause).
     """
 
-    def __init__(self, state, cycle, claw):
-        hint = f"; input has a claw {claw}" if claw is not None else "; input is claw-free"
-        super().__init__(f"no addable vertex on odd cycle {cycle}{hint}")
-        self.state = state
-        self.cycle = cycle
-        self.claw = claw
+    fields = ("state", "cycle", "claw")
+
+    def __str__(self):
+        hint = "; input is claw-free" if self.claw is None else f"; input has a claw {self.claw}"
+        return f"no addable vertex on odd cycle {self.cycle}{hint}"
 
 
 # ---------------------------------------------------------------- generators
 
 
 class UnknownName(PackfourError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown graph name: {name!r}")
-        self.name = name
+    fields = ("name",)
+    message = "unknown graph name: {name!r}"
 
 
 class BadParameter(PackfourError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class RetryLimit(PackfourError):
-    def __init__(self, n: int, attempts: int):
-        super().__init__(f"no simple cubic pairing found for n={n} after {attempts} attempts")
-        self.n = n
-        self.attempts = attempts
+    fields = ("n", "attempts")
+    message = "no simple cubic pairing found for n={n} after {attempts} attempts"

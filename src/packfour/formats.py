@@ -173,7 +173,7 @@ _CERTIFICATE = ('{"classes":%s,"edges":%s,"lemma_trace":[%s],"n":%d,"reducer_tra
                 '"s_spec":%s,"verified":true}')
 
 
-def write_certificate(g: Graph, coloring: Coloring, lemma=(), reducer=()) -> str:
+def write_certificate(g: Graph, coloring: Coloring, lemma, reducer) -> str:
     """Serialize a verified (1,1,2,2) coloring to canonical JSON.
 
     lemma and reducer are the step tuples break_triangles and

@@ -150,7 +150,7 @@ def test_criterion_4_negative_controls(capsys):
         bad[u] = 1
         assert verify_spacking(prism(), S1122, bad) is not None
         with pytest.raises(RefusesUnverified):
-            write_certificate(prism(), bad)
+            write_certificate(prism(), bad, (), ())
 
 
 def test_criterion_5_invariant_suites(corpus, capsys):

@@ -24,7 +24,7 @@ from packfour.cli import main
 from packfour.formats import parse_edge_list, parse_graph6, write_graph6
 from packfour.generators import cycle, inflate, k4, petersen, prism, random_cubic
 from packfour.packing import SSpec
-from packfour.oracle import exists_spacking
+from packfour.oracle import OracleResult, exists_spacking
 
 import oracles
 from test_formats import OTHER_SPECS, mutated_certificates, real_certificates
@@ -96,10 +96,13 @@ def test_color_parse_error_exit_2(tmp_path, capsys):
     assert "graph 1: parse" in err
 
 
-@pytest.mark.parametrize("text", ["3 1\n0 5\n", "\n# k4?\n3 1\n0 5\n"],
-                         ids=["bad-edgelist", "commented-bad-edgelist"])
+@pytest.mark.parametrize("text,detail", [
+    ("3 1\n0 5\n", "vertex 5 out of range for n=3"),
+    ("\n# k4?\n3 1\n0 5\n", "vertex 5 out of range for n=3"),
+    ("-1 0\n", "line 1: negative count in header"),
+], ids=["bad-edgelist", "commented-bad-edgelist", "negative-count"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-def test_color_edgelist_parse_error_record(tmp_path, capsys, text, to_file):
+def test_color_edgelist_parse_error_record(tmp_path, capsys, text, detail, to_file):
     # an edge list is graph 0 of a one-graph batch, so it fails like a bad graph6 line
     inp = write(tmp_path, "in.txt", text)
     out_path = tmp_path / "certs.jsonl"
@@ -109,9 +112,8 @@ def test_color_edgelist_parse_error_record(tmp_path, capsys, text, to_file):
     if to_file:
         assert out == ""
         out = out_path.read_text()
-    record = json.loads(out)
-    assert record == {"index": 0, "error": "parse", "detail": record["detail"]}
-    assert record["detail"] and err == f"graph 0: parse: {record['detail']}\n"
+    assert json.loads(out) == {"index": 0, "error": "parse", "detail": detail}
+    assert err == f"graph 0: parse: {detail}\n"
 
 
 def test_color_graph6_undecodable_byte_is_a_parse_record(tmp_path, capsys):
@@ -439,6 +441,57 @@ def test_package_errors_survive_pickling():
         assert (type(copy), str(copy), vars(copy)) == (type(e), str(e), vars(e))
 
 
+# for each ERROR_SAMPLES entry, then for a ParseError on its default detail and
+# a StuckOddCycle on claw-free input: the arguments it was built with (the
+# default filled in), the attributes they become, and its message as it read
+# when each error formatted its message in its own constructor
+ERROR_PAYLOADS = [
+    (("base",), (), "base"),
+    ((3,), ("u",), "self-loop at vertex 3"),
+    ((1, 2), ("u", "v"), "duplicate edge (1, 2)"),
+    ((5, 4), ("v", "n"), "vertex 5 out of range for n=4"),
+    ((2,), ("position",), "bad graph6 character at position 2"),
+    ((3, 2), ("expected", "got"), "graph6 body length mismatch: expected 3 bytes, got 2"),
+    ((), (), "graph6 header form not supported (n > 258047)"),
+    ((300000,), ("n",), "cannot encode graph with n=300000 > 258047 vertices"),
+    ((2, "x y"), ("line", "detail"), "line 2: x y"),
+    (("vertices 0 and 1 share class 1",), ("violation",),
+     "refusing to write certificate: vertices 0 and 1 share class 1"),
+    ((), (), "packing spec is empty"),
+    (("x",), ("token",), "packing spec entry is not a positive integer: 'x'"),
+    (((2, 1),), ("values",), "packing spec entries must be non-decreasing, got [2, 1]"),
+    ((0, 5, 4), ("vertex", "class_index", "r"), "vertex 0 has class 5, outside 1..4"),
+    ((0, 2), ("vertex", "degree"), "graph is not cubic: vertex 0 has degree 2"),
+    (((0, (1, 2, 3)),), ("claw",), "graph has a claw centered at 0 with leaves [1, 2, 3]"),
+    (((0, 1), (1, 2, 3)), ("pair", "triangle"),
+     "no improving move for surviving triangle (1, 2, 3)"),
+    ((None, [0, 1, 2], (3, (4, 5, 6))), ("state", "cycle", "claw"),
+     "no addable vertex on odd cycle [0, 1, 2]; input has a claw (3, (4, 5, 6))"),
+    (("x",), ("name",), "unknown graph name: 'x'"),
+    (("x",), (), "x"),
+    ((10, 5), ("n", "attempts"), "no simple cubic pairing found for n=10 after 5 attempts"),
+    ((7, "malformed line"), ("line", "detail"), "line 7: malformed line"),
+    ((None, [0, 1, 2], None), ("state", "cycle", "claw"),
+     "no addable vertex on odd cycle [0, 1, 2]; input is claw-free"),
+]
+
+
+def test_package_errors_keep_their_payload_as_args():
+    samples = ERROR_SAMPLES + [errors.ParseError(7), errors.StuckOddCycle(None, [0, 1, 2], None)]
+    for e, (args, names, text) in zip(samples, ERROR_PAYLOADS, strict=True):
+        assert (e.args, vars(e), str(e)) == (args, dict(zip(names, args)), text)
+        copy = pickle.loads(pickle.dumps(e))
+        assert (copy.args, vars(copy), str(copy)) == (e.args, vars(e), text)
+    assert repr(errors.NotCubic(0, 2)) == "NotCubic(0, 2)"
+
+
+@pytest.mark.parametrize("cls,args", [(errors.SelfLoop, ()), (errors.SelfLoop, (1, 2)),
+                                      (errors.UnsupportedHeader, (1,))])
+def test_package_error_with_wrong_argument_count_is_a_type_error(cls, args):
+    with pytest.raises(TypeError):
+        cls(*args)
+
+
 def test_color_dot_output(tmp_path, capsys):
     inp = write(tmp_path, "in.g6", f"{write_graph6(k4())}\n{write_graph6(prism())}\n")
     dot = str(tmp_path / "view.dot")
@@ -508,6 +561,12 @@ def test_verify_ok(tmp_path, capsys):
     code, out, err = run(capsys, "verify", inp, cert)
     assert code == 0
     assert out.strip() == "ok: verified S=1,1,2,2 coloring of n=6 graph"
+
+
+def test_verify_expects_one_graph(tmp_path, capsys):
+    _, cert_path = color_to_file(tmp_path, capsys, k4())
+    two = write(tmp_path, "two.g6", "C~\nC~\n")
+    assert run(capsys, "verify", two, cert_path) == (1, "", "expected one graph to verify, got 2\n")
 
 
 def test_verify_rejects_corrupted_certificate(tmp_path, capsys):
@@ -639,6 +698,29 @@ def test_verify_accepts_only_1122_colorings(data):
 
 # ----------------------------------------------------------------- oracle
 
+def oracle_answers_no(monkeypatch, n):
+    """Make the CLI's oracle answer "no" on every graph with n vertices, as
+    it would on a counterexample, and decide the others as before."""
+    decide = cli.exists_spacking
+
+    def no_on_n(g, s, vertex_cap):
+        return OracleResult("no") if g.n == n else decide(g, s, vertex_cap)
+
+    monkeypatch.setattr(cli, "exists_spacking", no_on_n)
+
+
+def test_oracle_flags_a_theorem_violation(tmp_path, capsys, monkeypatch):
+    # a claw-free cubic "no" under (1,1,2,2) would contradict the theorem
+    oracle_answers_no(monkeypatch, 4)
+    inp = write(tmp_path, "k4.g6", "C~\n")
+    code, out, err = run(capsys, "oracle", inp, "--s", "1,1,2,2")
+    assert (code, out) == (0, "0\t4\tno\tsearch exhausted\n")
+    flag, summary = err.splitlines()
+    assert flag == "flagged graph 0: theorem-violation: C~"
+    assert json.loads(summary)["flagged"] == [
+        {"flag": "theorem-violation", "graph6": "C~", "index": 0}]
+
+
 def test_oracle_tsv_and_summary(tmp_path, capsys):
     inp = write(tmp_path, "in.g6",
                 f"{write_graph6(k4())}\nC{chr(20)}\n{write_graph6(cycle(5))}\n")
@@ -739,6 +821,17 @@ def test_experiment_problem2_default_corpus(capsys):
     assert not any(line.startswith("CANDIDATE") for line in lines)
 
 
+def test_experiment_problem2_prints_a_candidate(capsys, monkeypatch):
+    oracle_answers_no(monkeypatch, 4)
+    code, out, _ = run(capsys, "experiment", "problem2")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == "0\t4\tno\tsearch exhausted"
+    assert [line for line in lines if line.startswith("CANDIDATE")] == [
+        "CANDIDATE candidate-counterexample: C~"]
+    summary = json.loads(lines[-1])
+    assert (summary["no"], summary["yes"]) == (1, 4)
+
+
 def test_experiment_problem2_custom_corpus(tmp_path, capsys):
     inp = write(tmp_path, "in.g6", write_graph6(petersen()) + "\n")
     code, out, _ = run(capsys, "experiment", "problem2", "--input", inp)
@@ -756,6 +849,48 @@ def test_experiment_problem1(capsys):
     payload = json.loads(lines[-1])
     assert payload["candidates"] == []
     assert payload["results"][0]["verdict"] == "yes"
+
+
+def test_experiment_problem1_error_record(capsys):
+    # a size problem1_family rejects gets an error record; the next size still runs
+    code, out, _ = run(capsys, "experiment", "problem1", "--sizes", "3,4")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[:2] == ["base_n=3\tn=-\tverdict=error\tmethod=-",
+                                       "base_n=4\tn=16\tverdict=yes\tmethod=pipeline"]
+    assert json.loads(lines[-1])["results"][0] == {
+        "base_n": 3, "detail": "random cubic graph needs even n >= 4, got 3", "verdict": "error"}
+
+
+def pipeline_stuck(monkeypatch):
+    def stuck(g, force):
+        raise errors.StuckOddCycle(None, [0, 1, 2], None)
+
+    monkeypatch.setattr(cli, "color_claw_free_cubic", stuck)
+
+
+@pytest.mark.parametrize("cap,verdict,detail", [
+    ((), "yes", None),
+    (("--cap", "10"), "unknown", "vertex cap exceeded (n=16 > 10)"),
+], ids=["default-cap", "cap-10"])
+def test_experiment_problem1_falls_back_to_the_oracle(capsys, monkeypatch, cap, verdict, detail):
+    pipeline_stuck(monkeypatch)
+    code, out, _ = run(capsys, "experiment", "problem1", "--sizes", "4", *cap)
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == f"base_n=4\tn=16\tverdict={verdict}\tmethod=oracle"
+    rec = json.loads(lines[-1])["results"][0]
+    assert rec["pipeline"] == "stuck: no addable vertex on odd cycle [0, 1, 2]; input is claw-free"
+    assert (rec["method"], rec["verdict"], rec.get("detail")) == ("oracle", verdict, detail)
+
+
+def test_experiment_problem1_prints_a_candidate(capsys, monkeypatch):
+    pipeline_stuck(monkeypatch)
+    oracle_answers_no(monkeypatch, 16)
+    code, out, _ = run(capsys, "experiment", "problem1", "--sizes", "4")
+    lines = out.strip().splitlines()
+    g6 = "O{??wx?AG@c?@??A??w?M"
+    assert code == 0 and lines[:2] == ["base_n=4\tn=16\tverdict=no\tmethod=oracle",
+                                       f"CANDIDATE not-(1,1,2,2)-colorable: {g6}"]
+    assert json.loads(lines[-1])["candidates"] == [g6]
 
 
 # ----------------------------------------------------------------- import

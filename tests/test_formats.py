@@ -276,7 +276,7 @@ PRISM_COLORING = [3, 1, 2, 2, 4, 1]  # classes: 1a={1,5} 1b={2,3} 2a={0} 2b={4}
 
 def test_certificate_round_trip():
     g = prism()
-    cert_text = write_certificate(g, PRISM_COLORING)
+    cert_text = write_certificate(g, PRISM_COLORING, (), ())
     cert = read_certificate(cert_text)
     assert cert["verified"] is True
     assert cert["s_spec"] == [1, 1, 2, 2]
@@ -287,14 +287,14 @@ def test_certificate_round_trip():
     assert verify_spacking(g2, s, coloring) is None
     # canonical JSON: sorted keys, no whitespace, byte-stable
     assert cert_text == json.dumps(json.loads(cert_text), sort_keys=True, separators=(",", ":"))
-    assert write_certificate(g, PRISM_COLORING) == cert_text
+    assert write_certificate(g, PRISM_COLORING, (), ()) == cert_text
 
 
 def test_certificate_refuses_bad_coloring():
     g = prism()
     bad = [1, 1, 2, 2, 3, 4]  # 0 and 1 adjacent, both class 1
     with pytest.raises(RefusesUnverified) as e:
-        write_certificate(g, bad)
+        write_certificate(g, bad, (), ())
     assert e.value.violation.u == 0 and e.value.violation.v == 1
 
 
@@ -305,7 +305,7 @@ def test_certificate_carries_traces():
     assert cert["lemma_trace"] == [{"addA": [3], "addB": [0], "gamma_after": 0, "removeA": 0,
                                     "removeB": None, "w_after": 2, "w_before": 1}]
     assert cert["reducer_trace"] == [{"cycle_length": 5, "side": "B", "vertex": 7}]
-    empty = json.loads(write_certificate(prism(), PRISM_COLORING))
+    empty = json.loads(write_certificate(prism(), PRISM_COLORING, (), ()))
     assert empty["lemma_trace"] == empty["reducer_trace"] == []
 
 
@@ -370,7 +370,7 @@ def test_read_certificate_errors():
 
 
 def test_coloring_from_certificate_errors():
-    base = json.loads(write_certificate(prism(), PRISM_COLORING))
+    base = json.loads(write_certificate(prism(), PRISM_COLORING, (), ()))
     dup = json.loads(json.dumps(base))
     dup["classes"]["1b"] = [1, 2, 3]  # vertex 1 already in 1a
     with pytest.raises(ParseError):

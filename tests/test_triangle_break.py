@@ -541,7 +541,10 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
     # to _move (these graphs have no K4 component, so every step searches,
     # and only a combo with a move reaches it), and the pair is built whole
     # only at the end.  Every step settles at least its move's first item,
-    # so a settlement that bypasses _forced cannot pass.
+    # so a settlement that bypasses _forced cannot pass.  The paper's counts
+    # hold at every size: the breaker ends at weight T, the number of
+    # triangles, in at most T steps, and every unchosen vertex keeps at most
+    # two unchosen neighbours (ROADMAP item 13).
     g = oracles.diamond_strings(base_n, 1, 0.3, 7)
     forced, move = _Search._forced, _Search._move
     counts = {"settled": 0, "combos": 0, "pairs": 0}
@@ -570,6 +573,11 @@ def test_breaker_work_per_step_is_bounded(monkeypatch, base_n):
     assert steps <= counts["settled"] <= 12 * steps
     assert counts["combos"] == steps
     assert counts["pairs"] == 1
+    triangles = len(list_triangles(g))
+    assert pair.weight == triangles and len(trace) <= triangles
+    chosen = pair.marked
+    assert all(sum(w not in chosen for w in g.adj[v]) <= 2
+               for v in range(g.n) if v not in chosen)
     records = json.dumps(oracles.reference_lemma_records(trace), sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == digest
 
