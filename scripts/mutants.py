@@ -17,6 +17,9 @@ would not show that the patch made the code loop.
 
     python scripts/mutants.py
 
+The catalogue holds 33 mutants and runs in about 100 s on a 2-vCPU Xeon
+virtual machine.
+
 Prints one line per mutant.  Exits 0 when every mutant is killed, and 1 when
 one survives, when its old text does not occur exactly once, when pytest
 cannot run its tests, or when the unpatched run fails or outlives half a
@@ -47,6 +50,14 @@ Mutant = namedtuple("Mutant", "name path old new tests bound_s")
 MISTYPED_S_SPEC = tuple(
     f"tests/test_cli.py::test_verify_mistyped_certificate_field[s_spec-{case}]"
     for case in ("5", "value8", "value9", "value10", "value11", "value12"))
+FIRST_VIOLATION = ("tests/test_packing.py::test_verify_reports_first_violation",)
+FIRST_MOVE = ("tests/test_triangle_break.py::test_first_move_sound",
+              "tests/test_triangle_break.py::test_every_step_is_the_reference_first_move")
+EXTRA_REMOVAL = ("tests/test_triangle_break.py::test_break_relabelled_necklace_frozen",
+                 "tests/test_triangle_break.py::test_break_relabelled_diamond_strings_frozen")
+BUILD_GRAPH = ("tests/test_graph.py::test_build_graph_validates",)
+FRESH_LAYOUT = ("tests/test_odd_cycle.py::test_relayer_equals_fresh_layout",)
+RELAYER = (*FRESH_LAYOUT, "tests/test_odd_cycle.py::test_reduce_pentagonal_prism_frozen")
 
 CATALOGUE = [
     # a certificate may name (1,1,2,2) alone
@@ -73,6 +84,138 @@ CATALOGUE = [
            "            if spare > 0:\n",
            "            if spare >= 0:\n",
            ("tests/test_pipeline.py::test_pipeline_verifies_on_fixtures",), 15),
+    # the first violation is the lexicographically smallest pair
+    Mutant("verify-largest-pair", "packing.py",
+           "    u, v = min(pairs)\n",
+           "    u, v = max(pairs)\n",
+           FIRST_VIOLATION, 120),
+    # two members of a radius-2 class with a common neighbour violate it
+    Mutant("verify-route-2-off-at-radius-2", "packing.py",
+           "far = [a >= 2 for a in radius]",
+           "far = [a >= 3 for a in radius]",
+           FIRST_VIOLATION, 120),
+    # a vertex on two triangles weighs 2
+    Mutant("breaker-heavy-weighs-3", "triangle_break.py",
+           "HEAVY = 2  #",
+           "HEAVY = 3  #",
+           ("tests/test_triangle_break.py::test_vertex_weight",), 120),
+    # a removal both items force is weighed once
+    Mutant("breaker-shared-removal-counted-twice", "triangle_break.py",
+           "                    slack += w[ra]  # forced by both, removed once\n",
+           "                    pass\n",
+           FIRST_MOVE, 120),
+    # a pair forcing two distinct removals on side a has no move
+    Mutant("breaker-collision-on-a-accepted", "triangle_break.py",
+           "                    if ra != sa:\n",
+           "                    if False:\n",
+           FIRST_MOVE, 120),
+    # _move: one forced removal r, and the least affordable chosen x < r on
+    # the free side within distance 2 of an addition, when the slack exceeds
+    # LIGHT
+    Mutant("move-no-extra-ever", "triangle_break.py",
+           "            if extras:\n",
+           "            if False:\n",
+           EXTRA_REMOVAL, 120),
+    Mutant("move-extra-without-x-below-r", "triangle_break.py",
+           "if x < r and w[x] < slack]",
+           "if w[x] < slack]",
+           EXTRA_REMOVAL, 120),
+    Mutant("move-extra-guard-at-heavy", "triangle_break.py",
+           "if slack > LIGHT and (ra is None)",
+           "if slack > HEAVY and (ra is None)",
+           EXTRA_REMOVAL, 120),
+    Mutant("move-extra-at-full-slack", "triangle_break.py",
+           "and w[x] < slack]",
+           "and w[x] <= slack]",
+           ("tests/test_triangle_break.py::"
+            "test_break_relabelled_diamond_strings_frozen[n32-heavy-unaffordable]",), 120),
+    Mutant("move-largest-extra", "triangle_break.py",
+           "ra, rb = (r, min(extras)) if rb is None else (min(extras), r)",
+           "ra, rb = (r, max(extras)) if rb is None else (max(extras), r)",
+           EXTRA_REMOVAL, 120),
+    Mutant("move-extra-from-forced-side", "triangle_break.py",
+           "(ra, self.sides[SIDE_B]) if rb is None else (rb, self.sides[SIDE_A])",
+           "(ra, self.sides[SIDE_A]) if rb is None else (rb, self.sides[SIDE_B])",
+           EXTRA_REMOVAL, 120),
+    # the candidates lie within distance 3 of all three triangle vertices
+    Mutant("near-reads-two-balls", "triangle_break.py",
+           "for o in adj[t[0]] + adj[t[1]] + adj[t[2]]",
+           "for o in adj[t[0]] + adj[t[1]]",
+           ("tests/test_triangle_break.py::test_near_reads_three_balls_for_nine",), 120),
+    # build_graph's append pass takes canonical pairs only
+    Mutant("build-route-starts-below-zero", "graph.py",
+           "    pu = pv = 0\n",
+           "    pu = pv = -1\n",
+           BUILD_GRAPH, 120),
+    Mutant("build-route-accepts-equal-v", "graph.py",
+           "else pv < v < n):",
+           "else pv <= v < n):",
+           BUILD_GRAPH, 120),
+    # a radius-2 ball holds the neighbours as well as theirs
+    Mutant("ball2-without-neighbours", "graph.py",
+           "    ball = set(adj[v])\n",
+           "    ball = set()\n",
+           ("tests/test_graph.py::test_ball2_agrees_with_vertices_within_at_any_degree",), 120),
+    # a neighbour of a chosen vertex can have chosen neighbours on both sides
+    Mutant("live-drops-only-vertex-in-hand", "odd_cycle.py",
+           "live[u] = tuple([x for x in adj[u] if x not in marked])",
+           "live[u] = tuple([x for x in adj[u] if x != v])",
+           ("tests/test_odd_cycle.py::test_reduce_remainder_drops_chosen_vertices_of_both_sides",),
+           120),
+    # an absorbed vertex leaves its neighbours' entries
+    Mutant("cut-keeps-neighbour-entries", "odd_cycle.py",
+           "        adj[w] = tuple([x for x in adj[w] if x != v])\n",
+           "        pass\n",
+           ("tests/test_odd_cycle.py::test_reduce_problem1_gadget_frozen",), 120),
+    # the witness edge is the lexicographically first in layer h
+    Mutant("witness-largest-edge", "odd_cycle.py",
+           "    u, v = min((u, v) for u in layer",
+           "    u, v = max((u, v) for u in layer",
+           ("tests/test_graph.py::test_shortest_odd_cycle_frozen",), 120),
+    # an absorbed root: every piece is laid out again from its smallest vertex
+    Mutant("root-laid-out-in-set-order", "odd_cycle.py",
+           "return lay_out(adj, sorted(comp), dist)",
+           "return lay_out(adj, list(comp), dist)",
+           RELAYER, 120),
+    Mutant("root-keeps-depths", "odd_cycle.py",
+           "            dist[x] = -1\n",
+           "            pass\n",
+           RELAYER, 120),
+    # relayer: the layering and clash edges a fresh layout would give
+    Mutant("empty-repair-keeps-clash", "odd_cycle.py",
+           "            clash.discard((v, y) if v < y else (y, v))\n",
+           "            pass\n",
+           FRESH_LAYOUT, 120),
+    Mutant("repair-seeded-from-first-kept", "odd_cycle.py",
+           "heap.append((min(kept) + 1, w))",
+           "heap.append((kept[0] + 1, w))",
+           FRESH_LAYOUT, 120),
+    Mutant("repair-adds-no-clash", "odd_cycle.py",
+           "                clash.add((w, y) if w < y else (y, w))\n",
+           "                pass\n",
+           FRESH_LAYOUT, 120),
+    # cut_vertex: each piece cut off from the root is laid out on its own
+    Mutant("split-not-laid-out", "odd_cycle.py",
+           "    pieces = lay_out(adj, stray, dist)\n",
+           "    pieces = []\n",
+           FRESH_LAYOUT, 120),
+    Mutant("split-left-in-root-set", "odd_cycle.py",
+           "    comp.difference_update(stray)\n",
+           "    pass\n",
+           FRESH_LAYOUT, 120),
+    # one absorption per shortest odd cycle: a second vertex of the same
+    # cycle, a live neighbour of the first, is absorbed too when it can join
+    Mutant("reducer-absorbs-two-per-cycle", "odd_cycle.py",
+           "        ext[side].add(v)\n"
+           "        additions.append(Addition(v, side, 2 * h + 1))\n"
+           "        settle(cut_vertex(live, v, root, comp, dist, clash))\n",
+           "        for v in (v, *live[v][1:]):\n"
+           "            side = addable_side(g, ext[\"A\"], ext[\"B\"], v)\n"
+           "            if side is not None:\n"
+           "                ext[side].add(v)\n"
+           "                additions.append(Addition(v, side, 2 * h + 1))\n"
+           "                settle(cut_vertex(live, v, root, comp, dist, clash))\n",
+           ("tests/test_odd_cycle.py::test_reduce_pentagonal_prism_frozen",), 120),
     # an error's payload is its attributes as well as its args
     Mutant("error-sets-no-attributes", "errors.py",
            "            setattr(self, name, value)\n",

@@ -299,8 +299,7 @@ def decide_line(line: str, s: SSpec, vertex_cap: int) -> dict:
     return record
 
 
-def batch_decide(lines, s: SSpec, vertex_cap: int = DEFAULT_VERTEX_CAP,
-                 jobs: int = 1) -> tuple[list[dict], dict]:
+def batch_decide(lines, s: SSpec, vertex_cap: int, jobs: int) -> tuple[list[dict], dict]:
     """Decide every graph6 line; never aborts on a bad line.
 
     Returns (records, summary).  Records keep input order even with jobs > 1.

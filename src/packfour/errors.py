@@ -85,9 +85,6 @@ class ParseError(PackfourError):
     fields = ("line", "detail")
     message = "line {line}: {detail}"
 
-    def __init__(self, line: int, detail: str = "malformed line"):
-        super().__init__(line, detail)
-
 
 class RefusesUnverified(PackfourError):
     """Certificate writer refused a coloring the verifier does not accept."""

@@ -22,10 +22,6 @@ class Graph(namedtuple("Graph", "n adj")):
     """n vertices and their adjacency tuples, adj: tuple[tuple[int, ...], ...]."""
     __slots__ = ()
 
-    @property
-    def m(self) -> int:
-        return sum(map(len, self.adj)) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         """The edges (u, v) with u < v in lexicographic order."""
         return [(u, v) for u, a in enumerate(self.adj) for v in a if v > u]

@@ -93,11 +93,11 @@ remainder, so the loop ends after at most n steps with a bipartite remainder,
 or raises StuckOddCycle carrying the offending cycle and a claw search result
 (non-claw-free inputs are the expected cause of a stuck run).
 Only there, and at the normal return, is the state frozen into a
-ReductionState, whose remainder is every vertex on neither side; the caller
-already holds the breaker's pair it started from.
-At the normal return the state carries the remainder's 2-coloring on g's own
-ids with the chosen vertices isolated, so assembly needs no second pass over
-the remainder.
+ReductionState: the two grown sides and, at the normal return, the
+remainder's 2-coloring on g's own ids with the chosen vertices isolated, so
+assembly needs no second pass over the remainder.  The remainder is every
+vertex on neither side, the additions are returned beside the state, and the
+caller already holds the breaker's pair it started from.
 """
 
 from __future__ import annotations
@@ -117,11 +117,11 @@ class Addition(namedtuple("Addition", "vertex side cycle_length")):
     __slots__ = ()
 
 
-class ReductionState(namedtuple("ReductionState", "ext_a ext_b remaining additions color")):
-    """What the reducer hands on: the grown sides, the remainder (frozensets),
-    the log (a tuple of Additions), and the remainder's 2-coloring on g's
-    ids as a tuple (None in a stuck snapshot, whose remainder is not
-    bipartite)."""
+class ReductionState(namedtuple("ReductionState", "ext_a ext_b color")):
+    """What the reducer hands on: the grown sides (frozensets) and the
+    remainder's 2-coloring on g's ids as a tuple (None in a stuck snapshot,
+    whose remainder is not bipartite).  The remainder is every vertex on
+    neither side."""
     __slots__ = ()
 
 
@@ -378,9 +378,7 @@ def reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionState, list
             heapq.heappush(records, (h, least, root, comp, clash))
 
     def frozen(color) -> ReductionState:
-        return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]),
-                              frozenset(range(g.n)).difference(ext["A"], ext["B"]),
-                              tuple(additions), color)
+        return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]), color)
 
     settle(lay_out(live, range(g.n), dist))
     while records:

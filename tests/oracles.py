@@ -241,6 +241,11 @@ def reference_shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     return canon_cycle(pu[i - 1:] + pv[:i - 1:-1])
 
 
+def remainder(g: Graph, state: ReductionState) -> frozenset[int]:
+    """The reducer's remainder: every vertex of g on neither side of state."""
+    return frozenset(range(g.n)) - state.ext_a - state.ext_b
+
+
 def relabelled_subgraph(g: Graph, keep) -> tuple[Graph, list[int]]:
     """The subgraph induced by keep on vertices 0..k-1, through build_graph,
     and the increasing new -> old vertex map."""
@@ -265,8 +270,7 @@ def reference_reduce_odd_cycles(g: Graph, pair: PackingPair) -> tuple[ReductionS
     additions: list[Addition] = []
 
     def frozen(color) -> ReductionState:
-        return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]), frozenset(remaining),
-                              tuple(additions), color)
+        return ReductionState(frozenset(ext["A"]), frozenset(ext["B"]), color)
 
     while True:
         sub, mapping = relabelled_subgraph(g, remaining)

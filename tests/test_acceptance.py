@@ -166,7 +166,7 @@ def test_criterion_5_invariant_suites(corpus, capsys):
                 (ext_a if add.side == "A" else ext_b).add(add.vertex)
                 assert is_k_packing(g, ext_a, 2) and is_k_packing(g, ext_b, 2)
                 assert not (ext_a & ext_b)
-            sub = induced_subgraph(g, state.remaining)
+            sub = induced_subgraph(g, oracles.remainder(g, state))
             assert list_triangles(sub) == []
             here = recompute_pair(g, pair.a, pair.b)
             assert (here.weight, here.surviving) == (pair.weight, 0)
@@ -346,9 +346,9 @@ def test_reducer_hands_over_the_remainder_coloring(corpus, monkeypatch):
     for g, force in cases:
         coloring, _ = color_claw_free_cubic(g, force=force)
         _, state, _ = runs[-1]
-        assert state.color == tuple(two_coloring(induced_subgraph(g, state.remaining))[0])
-        assert [coloring[v] - 1 for v in sorted(state.remaining)] == [
-            state.color[v] for v in sorted(state.remaining)]
+        remaining = sorted(oracles.remainder(g, state))
+        assert state.color == tuple(two_coloring(induced_subgraph(g, remaining))[0])
+        assert [coloring[v] - 1 for v in remaining] == [state.color[v] for v in remaining]
     assert len(runs) == len(cases)
     assert sum(len(additions) for _, _, additions in runs[len(corpus):]) > 0
     checked = runs[len(corpus):len(corpus) + len(chains)] + runs[-2:]

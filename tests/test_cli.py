@@ -172,8 +172,8 @@ def edge_list_texts(g):
     then newlines and spaces; and blank lines first, tabs, CRLF and a
     trailing comment."""
     edges = list(g.edges())
-    commented = f"#cubic,n={g.n}\n{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-    messy = ("\r\n \t\r\n" + f"{g.n}\t{g.m}\r\n"
+    commented = f"#cubic,n={g.n}\n{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    messy = ("\r\n \t\r\n" + f"{g.n}\t{len(edges)}\r\n"
              + "".join(f"{u}\t{v}\r\n" for u, v in edges) + "# comment\r\n")
     return [commented, messy]
 
@@ -477,7 +477,7 @@ ERROR_PAYLOADS = [
 
 
 def test_package_errors_keep_their_payload_as_args():
-    samples = ERROR_SAMPLES + [errors.ParseError(7), errors.StuckOddCycle(None, [0, 1, 2], None)]
+    samples = ERROR_SAMPLES + [errors.ParseError(7, "malformed line"), errors.StuckOddCycle(None, [0, 1, 2], None)]
     for e, (args, names, text) in zip(samples, ERROR_PAYLOADS, strict=True):
         assert (e.args, vars(e), str(e)) == (args, dict(zip(names, args)), text)
         copy = pickle.loads(pickle.dumps(e))

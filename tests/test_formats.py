@@ -58,7 +58,7 @@ def test_c5_and_empty_frozen():
     assert write_graph6(cycle(5)) == "Dhc"
     assert sorted(parse_graph6("Dhc").edges()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     assert write_graph6(build_graph(5, [])) == "D??"
-    assert parse_graph6("D??").m == 0
+    assert len(parse_graph6("D??").edges()) == 0
     assert parse_graph6("?").n == 0
     assert write_graph6(build_graph(0, [])) == "?"
 

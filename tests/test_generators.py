@@ -31,10 +31,10 @@ def is_connected(g):
 
 
 def test_fixture_shapes():
-    assert (k4().n, k4().m) == (4, 6)
-    assert (prism().n, prism().m) == (6, 9)
-    assert (petersen().n, petersen().m) == (10, 15)
-    assert (k33().n, k33().m) == (6, 9)
+    assert (k4().n, len(k4().edges())) == (4, 6)
+    assert (prism().n, len(prism().edges())) == (6, 9)
+    assert (petersen().n, len(petersen().edges())) == (10, 15)
+    assert (k33().n, len(k33().edges())) == (6, 9)
     for g in (k4(), prism(), petersen(), k33()):
         assert is_cubic(g)
     # petersen has girth 5: triangle-free and no 4-cycles
@@ -69,11 +69,11 @@ def test_diamond_necklace():
 
 def test_inflate_frozen():
     g = inflate(k4())
-    assert g.n == 12 and g.m == 18 and is_cubic(g)
+    assert g.n == 12 and len(g.edges()) == 18 and is_cubic(g)
     assert find_claw(g) is None
     assert len(list_triangles(g)) == 4
     big = inflate(petersen())
-    assert big.n == 30 and big.m == 45
+    assert big.n == 30 and len(big.edges()) == 45
     assert find_claw(big) is None
     # determinism: construction does not depend on dict order or randomness
     assert sorted(inflate(k4()).edges()) == sorted(g.edges())

@@ -145,7 +145,7 @@ def test_build_graph_matches_checking_loop(case):
 def test_graph_basics():
     g = prism()
     assert g.n == 6
-    assert g.m == 9
+    assert len(g.edges()) == 9
     assert [len(g.adj[v]) for v in range(g.n)] == [3] * 6
     assert 1 in g.adj[0] and 0 in g.adj[1]
     assert 4 not in g.adj[0]
@@ -251,7 +251,7 @@ def test_induced_subgraph():
     g = prism()
     sub = induced_subgraph(g, {1, 2, 4, 5})
     # same ids; 0 and 3 stay, isolated
-    assert sub.n == 6 and sub.m == 4
+    assert sub.n == 6 and len(sub.edges()) == 4
     assert sub.adj[0] == sub.adj[3] == ()
     # surviving edges: 1-2, 1-4, 2-5, 4-5
     assert list(sub.edges()) == [(1, 2), (1, 4), (2, 5), (4, 5)]
@@ -266,7 +266,7 @@ def test_induced_subgraph_edge_membership(g):
     assert all(sub.adj[v] == () for v in range(g.n) if v not in keep)
     original = {(u, v) for u, v in g.edges() if u in keep and v in keep}
     assert set(sub.edges()) == original
-    assert sub.m == len(original)
+    assert len(sub.edges()) == len(original)
 
 
 @given(graphs(max_n=10), st.data())

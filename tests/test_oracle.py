@@ -148,7 +148,7 @@ def test_batch_decide_orders_and_summarizes():
         write_graph6(petersen()),
         write_graph6(inflate(petersen())),  # over the default cap
     ]
-    records, summary = batch_decide(lines, S1122)
+    records, summary = batch_decide(lines, S1122, DEFAULT_VERTEX_CAP, 1)
     assert [r["index"] for r in records] == [0, 1, 2, 3]
     assert [r["verdict"] for r in records] == ["yes", "error", "no", "unknown"]
     assert summary["total"] == 4
@@ -159,6 +159,6 @@ def test_batch_decide_orders_and_summarizes():
 
 def test_batch_decide_parallel_matches_serial():
     lines = [write_graph6(g) for g in (k4(), prism(), cycle(5), k33(), diamond_necklace(2))]
-    serial = batch_decide(lines, S1123, jobs=1)
-    parallel = batch_decide(lines, S1123, jobs=3)
+    serial = batch_decide(lines, S1123, DEFAULT_VERTEX_CAP, 1)
+    parallel = batch_decide(lines, S1123, DEFAULT_VERTEX_CAP, 3)
     assert serial == parallel

@@ -136,8 +136,7 @@ def test_non_bipartite_remainder_raises_before_any_certificate(monkeypatch):
     def stop_early(g, pair):
         remaining = frozenset({1, 2, 3, 4, 5})
         color = two_coloring(induced_subgraph(g, remaining))[0]
-        state = ReductionState(ext_a=frozenset({0}), ext_b=frozenset(), remaining=remaining,
-                               additions=(), color=tuple(color))
+        state = ReductionState(ext_a=frozenset({0}), ext_b=frozenset(), color=tuple(color))
         return state, []
 
     written = []
@@ -209,3 +208,15 @@ def test_benchmark_wrapped_names_exist():
     assert missing == [("pipeline", "verify_spacking")]
     assert ({span for _, _, span, _ in table}
             == {span for module, name, span, _ in table if (module, name) not in missing})
+
+
+def test_readme_library_example_runs():
+    # the python block under the README's "## Library" heading, run as
+    # written; its comments state K4's coloring and the (1,1,1) verdict
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["coloring"] == [3, 4, 1, 2]
+    assert exists_spacking(namespace["g"], SSpec((1, 1, 1))).status == "no"
